@@ -24,7 +24,7 @@ from .errors import (
     SingularSystem,
     SolverFailure,
 )
-from .mesh import TriMesh
+from .mesh import TriMesh, dot, first_offender
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _ADMISSIBLE_FLOOR = 1e-12
@@ -56,50 +56,52 @@ class BeltramiCoefficient:
         return len(self.mu1)
 
 
-def beltrami_matrix(mu1: float, mu2: float) -> np.ndarray:
+def beltrami_matrix(mu1, mu2) -> np.ndarray:
     """The 2 x 2 derivative-coupling matrix of the coefficient (mu1, mu2).
 
     B = [[2 mu2, (1 - mu1)^2 + mu2^2], [-(1 + mu1)^2 - mu2^2, -2 mu2]]
     divided by 1 - mu1^2 - mu2^2.  Trace-free with B^2 = -I; at mu = 0 it
-    is the quarter-turn rotation.
+    is the quarter-turn rotation.  Stacked coefficients (*S,) give
+    stacked matrices (*S, 2, 2).
     """
+    mu1, mu2 = np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float)
     denom = 1.0 - mu1**2 - mu2**2
-    if denom < _ADMISSIBLE_FLOOR:
-        raise DegenerateCoefficient("coefficient too close to the unit circle")
-    return (
-        np.array(
-            [
-                [2.0 * mu2, (1.0 - mu1) ** 2 + mu2**2],
-                [-((1.0 + mu1) ** 2) - mu2**2, -2.0 * mu2],
-            ]
-        )
-        / denom
-    )
+    if (denom < _ADMISSIBLE_FLOOR).any():
+        where, _ = first_offender(denom < _ADMISSIBLE_FLOOR)
+        raise DegenerateCoefficient(f"{where}coefficient too close to the unit circle")
+    rows = [
+        [2.0 * mu2, (1.0 - mu1) ** 2 + mu2**2],
+        [-((1.0 + mu1) ** 2) - mu2**2, -2.0 * mu2],
+    ]
+    b = np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    return b / denom[..., None, None]
 
 
-def face_weights(v_i, v_j, v_k, mu1: float, mu2: float) -> np.ndarray:
+def face_weights(v_i, v_j, v_k, mu1, mu2) -> np.ndarray:
     """Contributions of one planar face to its first corner's row.
 
     Returns (w_to_i, w_to_j, w_to_k): the coefficients the face adds to
     the row of vertex i for the unknowns g_i, g_j, g_k, namely
     e_opp^T ehat / (4 A) with e_opp the edge opposite each corner and
     ehat the transformed opposite edge of the row corner.  They sum to
-    zero by construction.
+    zero by construction.  Stacked corners (*S, 2) and coefficients
+    (*S,) give the contributions of every face, (*S, 3).
     """
-    v_i = np.asarray(v_i, dtype=float)[:2]
-    v_j = np.asarray(v_j, dtype=float)[:2]
-    v_k = np.asarray(v_k, dtype=float)[:2]
+    v_i = np.asarray(v_i, dtype=float)[..., :2]
+    v_j = np.asarray(v_j, dtype=float)[..., :2]
+    v_k = np.asarray(v_k, dtype=float)[..., :2]
     vjk = v_j - v_k
     vki = v_k - v_i
     vij = v_i - v_j
-    area2 = float(vij[0] * vjk[1] - vij[1] * vjk[0])  # 2 * signed area
-    if area2 == 0.0:
-        raise DegenerateTriangle("degenerate planar face")
+    area2 = vij[..., 0] * vjk[..., 1] - vij[..., 1] * vjk[..., 0]  # 2 * signed area
+    if (area2 == 0.0).any():
+        where, _ = first_offender(area2 == 0.0)
+        raise DegenerateTriangle(f"{where}degenerate planar face")
     b = beltrami_matrix(mu1, mu2)
-    vhat = -_J @ b @ vjk
+    vhat = -(_J @ b @ vjk[..., None])[..., 0]
     # Factor 1/2: each interior edge collects one such term from each of
     # its two faces.
-    return np.array([vjk @ vhat, vki @ vhat, vij @ vhat]) / (2.0 * area2)
+    return np.stack([dot(e, vhat) for e in (vjk, vki, vij)], axis=-1) / (2.0 * area2[..., None])
 
 
 @dataclass(frozen=True)
@@ -130,22 +132,17 @@ def assemble_beltrami(mesh: TriMesh, mu: BeltramiCoefficient) -> BeltramiSystem:
         raise DimensionMismatch("one coefficient pair per face required")
     v = _planar_vertices(mesh)
     interior = mesh.interior_vertices()
-    row_of = {int(vid): r for r, vid in enumerate(interior)}
-    rows, cols, vals = [], [], []
-    for t in range(mesh.num_faces):
-        ids = mesh.faces[t]
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            vid = int(ids[a])
-            if vid not in row_of:
-                continue
-            w = face_weights(
-                v[ids[a]], v[ids[b]], v[ids[c]], float(mu.mu1[t]), float(mu.mu2[t])
-            )
-            r = row_of[vid]
-            for col, wval in zip((ids[a], ids[b], ids[c]), w):
-                rows.append(r)
-                cols.append(int(col))
-                vals.append(wval)
+    row_of = np.full(mesh.num_vertices, -1)
+    row_of[interior] = np.arange(len(interior))
+    # Corner a of face t contributes to the row of its vertex, with the
+    # face's vertices listed from that corner: ids[t, a] is the rotation.
+    ids = mesh.faces[:, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]]  # (F, 3, 3)
+    p = v[ids]
+    w = face_weights(p[..., 0, :], p[..., 1, :], p[..., 2, :], mu.mu1[:, None], mu.mu2[:, None])
+    keep = row_of[ids[..., 0]] >= 0  # row corners that are interior, face order
+    rows = np.repeat(row_of[ids[..., 0]][keep], 3)
+    cols = ids[keep].ravel()
+    vals = w[keep].ravel()
     matrix = sp.csr_matrix(
         (vals, (rows, cols)), shape=(len(interior), mesh.num_vertices)
     )

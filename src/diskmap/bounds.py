@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTriangle
-from .mesh import TriMesh, triangle_metrics
+from .mesh import TriMesh, dot, first_offender, triangle_metrics
 from .surface import ParamSurface
 
 @dataclass(frozen=True)
@@ -76,32 +76,35 @@ def plane_distance_bound(config: BoundsConfig, diam_param: float) -> float:
     return config.grad_lipschitz * diam_param**2
 
 
-def centered_pinv_norm(param_tri) -> float:
+def centered_pinv_norm(param_tri):
     """Largest pseudoinverse norm of the vertex matrix centered anywhere
     in a parameter triangle.
 
     The maximum over centers is attained at the centroid and has the
     closed form |[e_jk, e_ki, e_ij]|_2 / (2 T) in terms of the edge
-    vectors and the triangle area T.
+    vectors and the triangle area T.  A stack of triangles (*S, 3, 2)
+    gives the norms (*S,); one triangle gives a float.
     """
     p = np.asarray(param_tri, dtype=float)
-    if p.shape != (3, 2):
+    if p.shape[-2:] != (3, 2):
         raise DegenerateTriangle("parameter triangle must be (3, 2)")
-    edges = np.array([p[1] - p[2], p[2] - p[0], p[0] - p[1]])
-    area2 = float(
-        (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-        - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0])
-    )
-    if area2 == 0.0:
-        raise DegenerateTriangle("degenerate parameter triangle")
-    return float(np.linalg.norm(edges.T, 2)) / abs(area2)
+    p0, p1, p2 = p[..., 0, :], p[..., 1, :], p[..., 2, :]
+    edges = np.stack([p1 - p2, p2 - p0, p0 - p1], axis=-1)  # (*S, 2, 3)
+    area2 = (p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1]) - (
+        p1[..., 1] - p0[..., 1]
+    ) * (p2[..., 0] - p0[..., 0])
+    if (area2 == 0.0).any():
+        where, _ = first_offender(area2 == 0.0)
+        raise DegenerateTriangle(f"{where}degenerate parameter triangle")
+    norm = np.linalg.norm(edges, 2, axis=(-2, -1)) / np.abs(area2)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def tangent_tilt_bound(config: BoundsConfig, diam_param: float, area_param: float) -> float:
     """Upper bound on |n^T Q|: the sine of the face-plane/tangent-plane
     tilt, 3 * grad_lipschitz * diam_param^3 / (sigma_min * area_param).
     """
-    if area_param <= 0:
+    if np.any(np.asarray(area_param) <= 0):
         raise DegenerateTriangle("parameter triangle area must be positive")
     return 3.0 * config.grad_lipschitz * diam_param**3 / (config.sigma_min * area_param)
 
@@ -119,7 +122,7 @@ def gradient_error_terms(
     gradient norm; offset = 3 C_f sigma_max^2 d(V) d(Omega)^2 / (2 A) is
     the gradient-free remainder.
     """
-    if area_face <= 0 or area_param <= 0:
+    if np.any(np.asarray(area_face) <= 0) or np.any(np.asarray(area_param) <= 0):
         raise DegenerateTriangle("face and parameter areas must be positive")
     tilt = tangent_tilt_bound(config, diam_param, area_param)
     factor = 3.0 * config.grad_lipschitz * diam_face * diam_param**2 / area_face + tilt**2
@@ -290,41 +293,24 @@ class TriangleQuality:
         return float(self.diam_over_inradius.max())
 
 
-def _tri2_metrics(p):
-    geom = triangle_metrics(p[0], p[1], p[2])
-    return geom
-
-
 def quality_report(mesh: TriMesh, param_tris=None) -> TriangleQuality:
     """Shape diagnostics for every face (and parameter triangle)."""
-    nf = mesh.num_faces
-    diam = np.empty(nf)
-    min_angle = np.empty(nf)
-    over_sin = np.empty(nf)
-    over_r = np.empty(nf)
-    for t in range(nf):
-        geom = triangle_metrics(*mesh.face_points(t))
-        diam[t] = geom.diameter
-        min_angle[t] = geom.angles.min()
-        over_sin[t] = geom.diameter / math.sin(min_angle[t])
-        over_r[t] = geom.diameter / geom.inradius
+    geom = triangle_metrics(*mesh.face_points())
+    min_angle = geom.angles.min(axis=1)
     pd = pa = pm = None
     if param_tris is not None:
-        if len(param_tris) != nf:
+        if len(param_tris) != mesh.num_faces:
             raise DegenerateTriangle("one parameter triangle per face required")
-        pd = np.empty(nf)
-        pm = np.empty(nf)
-        pa = np.empty(nf)
-        for t, tri in enumerate(param_tris):
-            geom = _tri2_metrics(np.asarray(tri, dtype=float))
-            pd[t] = geom.diameter
-            pm[t] = geom.angles.min()
-            pa[t] = geom.area
+        p = np.asarray(param_tris, dtype=float).reshape(-1, 3, 2)
+        param = triangle_metrics(p[:, 0], p[:, 1], p[:, 2])
+        pd = param.diameter
+        pm = param.angles.min(axis=1)
+        pa = param.area
     return TriangleQuality(
-        diam=diam,
+        diam=geom.diameter,
         min_angle=min_angle,
-        diam_over_sin=over_sin,
-        diam_over_inradius=over_r,
+        diam_over_sin=geom.diameter / np.sin(min_angle),
+        diam_over_inradius=geom.diameter / geom.inradius,
         param_diam=pd,
         param_min_angle=pm,
         param_area=pa,
@@ -356,15 +342,14 @@ def scan_degraded_faces(
     degradation pattern that thin Delaunay triangulations develop as the
     smallest angle collapses.
     """
-    flagged = []
-    for t in range(mesh.num_faces):
-        geom = triangle_metrics(*mesh.face_points(t))
-        a, b, c = np.sort(geom.edge_lengths)
-        if a / c <= short_ratio and abs(b / c - 1.0) <= near_equal:
-            flagged.append(
-                DegradedFace(face=t, short_over_long=float(a / c), mid_over_long=float(b / c))
-            )
-    return flagged
+    lengths = np.sort(triangle_metrics(*mesh.face_points()).edge_lengths, axis=1)
+    short = lengths[:, 0] / lengths[:, 2]
+    mid = lengths[:, 1] / lengths[:, 2]
+    flagged = np.nonzero((short <= short_ratio) & (np.abs(mid - 1.0) <= near_equal))[0]
+    return [
+        DegradedFace(face=int(t), short_over_long=float(short[t]), mid_over_long=float(mid[t]))
+        for t in flagged
+    ]
 
 
 @dataclass(frozen=True)
@@ -455,21 +440,13 @@ def build_bound_report(
     """
     quality = quality_report(mesh, param_tris)
     nf = mesh.num_faces
-    plane = np.empty(nf)
-    pinv = np.empty(nf)
-    tilt = np.empty(nf)
-    factor = np.empty(nf)
-    offset = np.empty(nf)
-    for t in range(nf):
-        d_param = quality.param_diam[t]
-        a_param = quality.param_area[t]
-        plane[t] = plane_distance_bound(config, d_param)
-        pinv[t] = centered_pinv_norm(param_tris[t])
-        tilt[t] = tangent_tilt_bound(config, d_param, a_param)
-        geom = triangle_metrics(*mesh.face_points(t))
-        factor[t], offset[t] = gradient_error_terms(
-            config, geom.diameter, geom.area, d_param, a_param
-        )
+    d_param = quality.param_diam
+    a_param = quality.param_area
+    plane = plane_distance_bound(config, d_param)
+    pinv = centered_pinv_norm(np.asarray(param_tris, dtype=float).reshape(-1, 3, 2))
+    tilt = tangent_tilt_bound(config, d_param, a_param)
+    geom = triangle_metrics(*mesh.face_points())
+    factor, offset = gradient_error_terms(config, geom.diameter, geom.area, d_param, a_param)
     certified = (
         np.ones(nf, dtype=bool)
         if certified_mask is None
@@ -506,20 +483,13 @@ def estimate_map_grad_lipschitz(mesh: TriMesh, grad_at_vertex) -> float:
     the estimate is the max over mesh edges of the gradient difference
     over the edge length.  A sampled estimate, not a certified bound.
     """
-    grads = [np.asarray(grad_at_vertex(i), dtype=float) for i in range(mesh.num_vertices)]
-    best = 0.0
-    seen = set()
-    for tri in mesh.faces:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                continue
-            seen.add(key)
-            gap = np.linalg.norm(grads[a] - grads[b])
-            length = np.linalg.norm(mesh.vertices[a] - mesh.vertices[b])
-            if length > 0:
-                best = max(best, float(gap / length))
-    return best
+    grads = np.array([grad_at_vertex(i) for i in range(mesh.num_vertices)], dtype=float)
+    grads = grads.reshape(mesh.num_vertices, -1)  # Frobenius norm = flat 2-norm
+    a, b = mesh.edges[:, 0], mesh.edges[:, 1]
+    diff, edge = grads[a] - grads[b], mesh.vertices[a] - mesh.vertices[b]
+    gap, length = np.sqrt(dot(diff, diff)), np.sqrt(dot(edge, edge))
+    ratio = gap[length > 0] / length[length > 0]
+    return float(ratio.max(initial=0.0))
 
 
 def quality_csv(quality: TriangleQuality, path, flagged=None):

@@ -164,7 +164,6 @@ def cmd_converge(args):
         options=_minimizer_options(args),
         rho_mode=args.rho,
         quad_order=args.quad_order,
-        max_workers=args.threads,
     )
     fit = None
     try:
@@ -234,7 +233,6 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"diskmap {__version__}")
     parser.add_argument("--config", help="key = value file overriding flags")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory root")
-    parser.add_argument("--threads", type=int, default=1, help="parallel sweep workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a hemisphere mesh as OFF")

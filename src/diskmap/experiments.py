@@ -14,7 +14,6 @@ import csv
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,13 +150,11 @@ def run_sweep(
     options: MinimizerOptions | None = None,
     rho_mode: str = "quadrature",
     quad_order: int = 3,
-    max_workers: int = 1,
 ) -> list[ConvergenceRow]:
     """Solve the m = max(3, floor(n^r)) family over increasing n.
 
     A failed solve records its row with ``converged`` False instead of
-    aborting the sweep.  Rows come back in input order regardless of the
-    worker count, so the output is deterministic.
+    aborting the sweep.  Rows come back in input order.
     """
     n_values = [int(n) for n in n_values]
     if any(n < 4 for n in n_values):
@@ -184,12 +181,7 @@ def run_sweep(
                 wall_time=0.0,
             )
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(one, n_values))
-    else:
-        rows = [one(n) for n in n_values]
-    return rows
+    return [one(n) for n in n_values]
 
 
 DEFAULT_N_GRID = (8, 12, 16, 24, 32, 48, 64)
@@ -203,7 +195,8 @@ def fit_exponent(rows, h_window=None) -> FitResult:
     to ``fit.txt``; the gradient error converges at about first order.
 
     Rows with folds, without convergence, with zero error, or outside the
-    optional (h_min, h_max) window are dropped; at least 3 must survive.
+    optional (h_min, h_max) window are dropped; at least 3 must survive,
+    with at least two distinct h, or InsufficientData is raised.
     """
     pts = []
     for row in rows:
@@ -216,6 +209,8 @@ def fit_exponent(rows, h_window=None) -> FitResult:
         pts.append((math.log(row.h), math.log(row.rel_error)))
     if len(pts) < 3:
         raise InsufficientData(f"only {len(pts)} usable rows for the fit")
+    if len({x for x, _ in pts}) < 2:
+        raise InsufficientData(f"all {len(pts)} usable rows have the same h")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NearPole
-from .mesh import TriMesh
+from .mesh import TriMesh, dot
 from .surface import ParamSurface
 
 # Lipschitz constant of the chart gradient: the second-derivative tensor
@@ -45,36 +45,42 @@ def sphere_point(w):
 
 
 def sphere_gradient(w):
-    """Chart gradient (3, 2); columns are the phi and psi partials."""
-    phi, psi = w
-    sp, cp = math.sin(psi), math.cos(psi)
-    sf, cf = math.sin(phi), math.cos(phi)
-    return np.array(
+    """Chart gradient (3, 2); columns are the phi and psi partials.
+
+    Stacked points w (*S, 2) give stacked gradients (*S, 3, 2).
+    """
+    w = np.asarray(w, dtype=float)
+    phi, psi = w[..., 0], w[..., 1]
+    sp, cp = np.sin(psi), np.cos(psi)
+    sf, cf = np.sin(phi), np.cos(phi)
+    return np.stack(
         [
-            [-sf * sp, cf * cp],
-            [cf * sp, sf * cp],
-            [0.0, -sp],
-        ]
+            np.stack([-sf * sp, cf * cp], axis=-1),
+            np.stack([cf * sp, sf * cp], axis=-1),
+            np.stack([np.zeros_like(sp), -sp], axis=-1),
+        ],
+        axis=-2,
     )
 
 
-def spherical_patch_area(p0, p1, p2) -> float:
+def spherical_patch_area(p0, p1, p2):
     """Area of the geodesic triangle through three unit-sphere points.
 
     Uses l'Huilier's formula, which stays accurate for small triangles.
+    Three stacks of points (*S, 3) give the areas (*S,); one triangle
+    gives a float.
     """
+    p0, p1, p2 = (np.asarray(p, dtype=float) for p in (p0, p1, p2))
+
     def arc(a, b):
-        return math.atan2(np.linalg.norm(np.cross(a, b)), float(a @ b))
+        n = np.cross(a, b)
+        return np.arctan2(np.sqrt(dot(n, n)), dot(a, b))
 
     a, b, c = arc(p1, p2), arc(p2, p0), arc(p0, p1)
     s = 0.5 * (a + b + c)
-    t = (
-        math.tan(0.5 * s)
-        * math.tan(0.5 * (s - a))
-        * math.tan(0.5 * (s - b))
-        * math.tan(0.5 * (s - c))
-    )
-    return 4.0 * math.atan(math.sqrt(max(t, 0.0)))
+    t = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
+    area = 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
+    return float(area) if area.ndim == 0 else area
 
 
 def stereographic_project(v):
@@ -162,13 +168,10 @@ class HemisphereSpec:
 
     ``n`` latitude rings (colatitude steps of pi/(2n)) and ``m``
     meridians; the mesh has m*n + 1 vertices including the pole.
-    ``r_exponent`` records the coupling m = max(3, floor(n^r)) when the
-    spec came from an exponent.
     """
 
     n: int
     m: int
-    r_exponent: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -185,7 +188,7 @@ class HemisphereSpec:
         # Floor at 3 meridians so small-n members of slowly growing
         # families still produce valid meshes.
         m = max(3, int(math.floor(n**r)))
-        return cls(n=int(n), m=m, r_exponent=float(r))
+        return cls(n=int(n), m=m)
 
     @property
     def vertex_count(self) -> int:
@@ -215,15 +218,6 @@ class HemisphereMesh:
     param_tris: list
     param_cells: list
     pole_faces: np.ndarray
-
-    def __iter__(self):
-        # Allows (mesh, surface, param_tris) unpacking.
-        return iter((self.mesh, self.surface, self.param_tris))
-
-    @property
-    def boundary_ring(self) -> np.ndarray:
-        """Equator vertex indices, 1..m."""
-        return np.arange(1, self.spec.m + 1)
 
     def reference_map(self) -> np.ndarray:
         """Stereographic images of all vertices (the exact flatten)."""

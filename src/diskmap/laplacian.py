@@ -69,21 +69,13 @@ def face_area_ratios(
             raise ValueError("quadrature mode needs a surface and parameter cells")
         if len(param_cells) != mesh.num_faces:
             raise DimensionMismatch("one parameter cell per face required")
-        ratios = np.empty(mesh.num_faces)
-        for t in range(mesh.num_faces):
-            patch = patch_area_quadrature(surface, param_cells[t], quad_order)
-            flat = triangle_metrics(*mesh.face_points(t)).area
-            ratios[t] = patch / flat
-        return ratios
+        patch = patch_area_quadrature(surface, param_cells, quad_order)
+        return patch / triangle_metrics(*mesh.face_points()).area
     if mode == "analytic":
         if surface is None or surface.patch_area is None:
             raise ValueError("analytic mode needs a surface with patch_area")
-        ratios = np.empty(mesh.num_faces)
-        for t in range(mesh.num_faces):
-            p0, p1, p2 = mesh.face_points(t)
-            flat = triangle_metrics(p0, p1, p2).area
-            ratios[t] = surface.patch_area(p0, p1, p2) / flat
-        return ratios
+        corners = mesh.face_points()
+        return surface.patch_area(*corners) / triangle_metrics(*corners).area
     raise ValueError(f"unknown area-ratio mode {mode!r}")
 
 
@@ -109,36 +101,24 @@ def assemble_laplacian(
     if not np.isfinite(face_ratios).all():
         raise NonFiniteWeight("non-finite area ratio")
 
-    contrib: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    order: list[tuple[int, int]] = []
-    for t in range(mesh.num_faces):
-        geom = triangle_metrics(*mesh.face_points(t))
-        cots = geom.cotangents  # (at_i, at_j, at_k)
-        if not np.isfinite(cots).all():
-            raise NonFiniteWeight(f"non-finite cotangent in face {t}")
-        i, j, k = (int(v) for v in mesh.faces[t])
-        rho = float(face_ratios[t])
-        # angle at a corner is opposite the edge joining the other two
-        for (a, b), cot in (((j, k), cots[0]), ((k, i), cots[1]), ((i, j), cots[2])):
-            key = (a, b) if a < b else (b, a)
-            if key not in contrib:
-                contrib[key] = []
-                order.append(key)
-            contrib[key].append((rho, float(cot)))
+    cots = triangle_metrics(*mesh.face_points()).cotangents  # (at_i, at_j, at_k)
+    bad = ~np.isfinite(cots).all(axis=1)
+    if bad.any():
+        raise NonFiniteWeight(f"non-finite cotangent in face {int(np.argmax(bad))}")
 
-    n_edges = len(order)
-    edges = np.array(order, dtype=int)
-    weights = np.empty(n_edges)
-    boundary = np.empty(n_edges, dtype=bool)
-    ratios = np.full((n_edges, 2), np.nan)
-    cotans = np.full((n_edges, 2), np.nan)
-    for e, key in enumerate(order):
-        parts = contrib[key]
-        weights[e] = 0.5 * sum(r * c for r, c in parts)
-        boundary[e] = len(parts) == 1
-        for s, (r, c) in enumerate(parts):
-            ratios[e, s] = r
-            cotans[e, s] = c
+    # The angle at a corner is opposite the edge mesh.face_edges lists for
+    # it.  An edge's first face fills slot 0 of its record, a second face
+    # slot 1; boundary edges keep NaN in slot 1.
+    half = mesh.face_edges.ravel()
+    slot = np.ones(len(half), dtype=int)
+    slot[np.unique(half, return_index=True)[1]] = 0
+    ratios = np.full((len(mesh.edges), 2), np.nan)
+    cotans = np.full((len(mesh.edges), 2), np.nan)
+    ratios[half, slot] = np.repeat(face_ratios, 3)
+    cotans[half, slot] = cots.ravel()
+    # Only that padding is NaN: cotangents and ratios were checked.
+    weights = 0.5 * np.nansum(ratios * cotans, axis=1)
+    edges = mesh.edges
 
     n = mesh.num_vertices
     rows = np.concatenate([edges[:, 0], edges[:, 1], edges[:, 0], edges[:, 1]])
@@ -151,7 +131,7 @@ def assemble_laplacian(
         matrix=matrix,
         edges=edges,
         weights=weights,
-        edge_is_boundary=boundary,
+        edge_is_boundary=np.isnan(cotans[:, 1]),
         edge_ratios=ratios,
         edge_cotans=cotans,
         face_ratio=face_ratios,

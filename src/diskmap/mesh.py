@@ -33,6 +33,12 @@ class TriMesh:
     ----------
     vertices : ndarray, shape (N, m)
     faces : ndarray, shape (F, 3)
+    edges : ndarray, shape (E, 2)
+        Undirected edges as sorted index pairs, in order of first
+        appearance when the faces are read in order, each face listing the
+        edges opposite its corners i, j, k.
+    face_edges : ndarray, shape (F, 3)
+        Row of ``edges`` opposite each corner of each face.
     boundary_edges : ndarray, shape (B, 2)
         Undirected boundary edges as sorted index pairs (edges with
         exactly one adjacent face).
@@ -65,24 +71,39 @@ class TriMesh:
             self._check_planar_orientation()
 
     def _build_edges(self):
-        seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        # Record each directed edge under its undirected key, in face order.
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            for i, j in zip(self.faces[:, a], self.faces[:, b]):
-                key = (i, j) if i < j else (j, i)
-                seen.setdefault(key, []).append((int(i), int(j)))
-        boundary = []
-        for key, directed in seen.items():
-            if len(directed) > 2:
-                raise InvalidTopology(f"edge {key} belongs to {len(directed)} faces")
-            if len(directed) == 2 and directed[0] == directed[1]:
-                raise InvalidTopology(f"inconsistent orientation across edge {key}")
-            if len(directed) == 1:
-                boundary.append(key)
-        self._edge_faces = seen
-        self.boundary_edges = np.array(sorted(boundary), dtype=int).reshape(-1, 2)
+        f = self.faces
+        # Directed edge opposite each corner, (j, k), (k, i), (i, j), in face
+        # order; it follows the face orientation.
+        tails = f[:, [1, 2, 0]].ravel()
+        heads = f[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+        _, first, inverse, counts = np.unique(
+            lo * len(self.vertices) + hi,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        # Renumber the sorted unique keys by first appearance.
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        edges = np.column_stack([lo[first], hi[first]])
+        forward = np.bincount(inverse, weights=tails < heads, minlength=len(first))
+        bad = (counts > 2) | ((counts == 2) & (forward != 1))
+        if bad.any():
+            u = np.argmin(np.where(bad, first, len(tails)))
+            key = (int(lo[first[u]]), int(hi[first[u]]))
+            count = int(counts[u])
+            if count > 2:
+                raise InvalidTopology(f"edge {key} belongs to {count} faces")
+            raise InvalidTopology(f"inconsistent orientation across edge {key}")
+        self.edges = edges[order]
+        self.face_edges = rank[inverse].reshape(-1, 3)
+        self.edges.setflags(write=False)
+        self.face_edges.setflags(write=False)
+        self.boundary_edges = edges[counts == 1].reshape(-1, 2)
         self.boundary_vertices = np.unique(self.boundary_edges)
-        self._boundary_set = {tuple(e) for e in self.boundary_edges}
+        self._boundary_set = {tuple(e) for e in self.boundary_edges.tolist()}
 
     def _check_planar_orientation(self):
         p = self.vertices[self.faces]
@@ -132,87 +153,121 @@ class TriMesh:
             loops.append(loop)
         return loops
 
-    def face_points(self, index):
-        """The three vertex positions of face `index`."""
-        i, j, k = self.faces[index]
-        return self.vertices[i], self.vertices[j], self.vertices[k]
+    def face_points(self, index=slice(None)):
+        """The three vertex positions of face `index`.
+
+        An index array or slice (default: all faces) gives three stacked
+        position arrays, each with the indexed faces along the first axis.
+        """
+        f = self.faces[index]
+        return self.vertices[f[..., 0]], self.vertices[f[..., 1]], self.vertices[f[..., 2]]
+
+
+def first_offender(mask) -> tuple[str, int]:
+    """Message prefix and flat index of the first True entry of `mask`.
+
+    Stacked geometry functions share a leading face axis.  The prefix
+    names the entry's index along that axis, and is empty for an
+    unstacked (0-d) mask.
+    """
+    mask = np.asarray(mask)
+    flat = int(np.argmax(mask.ravel()))
+    if mask.ndim == 0:
+        return "", flat
+    return f"face {np.unravel_index(flat, mask.shape)[0]}: ", flat
 
 
 @dataclass(frozen=True)
 class TriangleGeom:
-    """Metric data of one triangle.
+    """Metric data of one triangle, or of a stack of triangles.
 
     ``edge_lengths`` holds (|vi-vj|, |vj-vk|, |vk-vi|); ``angles`` and
     ``cotangents`` are ordered by the corner they live at, (at_i, at_j,
-    at_k), so ``angles[0]`` is the angle opposite the jk edge and so on.
-    ``normal`` is the right-handed unit normal of the vertex order for
-    3-d triangles and None in 2-d; ``orientation`` is the signed-area
+    at_k), so ``angles[..., 0]`` is the angle opposite the jk edge and so
+    on.  ``normal`` is the right-handed unit normal of the vertex order
+    for 3-d triangles and None in 2-d; ``orientation`` is the signed-area
     sign for 2-d triangles and +1 in 3-d.
+
+    For one triangle the scalar fields are floats and ``orientation`` an
+    int.  For a stack of shape S every field gains the leading shape S:
+    ``edge_lengths``, ``angles`` and ``cotangents`` are (*S, 3), ``normal``
+    is (*S, 3), and the scalar fields are arrays of shape S.
     """
 
     edge_lengths: np.ndarray
     angles: np.ndarray
     cotangents: np.ndarray
-    area: float
-    diameter: float
-    inradius: float
+    area: float | np.ndarray
+    diameter: float | np.ndarray
+    inradius: float | np.ndarray
     normal: np.ndarray | None
-    orientation: int
+    orientation: int | np.ndarray
+
+
+def dot(a, b):
+    """Dot product over the last axis of two stacks of vectors.
+
+    Written as a stack of matrix products, which rounds every entry
+    exactly as the one-vector product ``a[t] @ b[t]`` does.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
     """Compute :class:`TriangleGeom` for the triangle (v_i, v_j, v_k).
 
+    Each corner is one point (m,) or a stack (*S, m) of points, which
+    gives the metrics of every triangle in the stack at once.
     Cotangents come from dot and cross products directly, never by
     taking an angle and re-evaluating trig functions.
 
     Raises
     ------
     DegenerateTriangle
-        If area < 1e-14 * diameter^2.
+        If area < 1e-14 * diameter^2; for a stack the message names the
+        first offending face index.
     """
     v_i = np.asarray(v_i, dtype=float)
     v_j = np.asarray(v_j, dtype=float)
     v_k = np.asarray(v_k, dtype=float)
 
-    lengths = np.array(
-        [
-            np.linalg.norm(v_i - v_j),
-            np.linalg.norm(v_j - v_k),
-            np.linalg.norm(v_k - v_i),
-        ]
-    )
-    diameter = float(lengths.max())
+    # Edges along the vertex order; the angle at each corner is between
+    # its outgoing edge and the reversed incoming one.
+    d_ij, d_jk, d_ki = v_j - v_i, v_k - v_j, v_i - v_k
+    sq = np.stack([dot(d_ij, d_ij), dot(d_jk, d_jk), dot(d_ki, d_ki)], -1)
+    dots = -np.stack([dot(d_ij, d_ki), dot(d_jk, d_ij), dot(d_ki, d_jk)], -1)
+    lengths = np.sqrt(sq)
+    diameter = lengths.max(axis=-1)
 
-    # One corner pair suffices for the area; the cross norm is shared.
-    u, w = v_j - v_i, v_k - v_i
-    gram = (u @ u) * (w @ w) - (u @ w) ** 2
-    double_area = float(np.sqrt(max(gram, 0.0)))
+    # One corner suffices for the area; the cross norm is shared.
+    gram = sq[..., 0] * sq[..., 2] - dots[..., 0] ** 2
+    double_area = np.sqrt(np.maximum(gram, 0.0))
     area = 0.5 * double_area
-    if area < DEGENERACY_THRESHOLD * diameter**2 or diameter == 0.0:
-        raise DegenerateTriangle(f"area {area:.3e} below threshold for d={diameter:.3e}")
+    bad = (area < DEGENERACY_THRESHOLD * diameter**2) | (diameter == 0.0)
+    if bad.any():
+        where, t = first_offender(bad)
+        raise DegenerateTriangle(
+            f"{where}area {area.flat[t]:.3e} below threshold for d={diameter.flat[t]:.3e}"
+        )
 
-    dots = np.array(
-        [
-            (v_j - v_i) @ (v_k - v_i),
-            (v_k - v_j) @ (v_i - v_j),
-            (v_i - v_k) @ (v_j - v_k),
-        ]
-    )
-    cots = dots / double_area
-    angles = np.arctan2(double_area, dots)
+    cots = dots / double_area[..., None]
+    angles = np.arctan2(double_area[..., None], dots)
 
-    perimeter = float(lengths.sum())
-    inradius = 2.0 * area / perimeter
+    inradius = 2.0 * area / lengths.sum(axis=-1)
 
-    if v_i.shape[0] == 3:
-        n = np.cross(v_j - v_i, v_k - v_i)
-        normal = n / np.linalg.norm(n)
-        orientation = 1
+    if v_i.shape[-1] == 3:
+        n = np.cross(d_ij, -d_ki)
+        normal = n / np.sqrt(dot(n, n))[..., None]
+        orientation = np.ones(area.shape, dtype=int)
     else:
         normal = None
-        orientation = 1 if u[0] * w[1] - u[1] * w[0] > 0 else -1
+        det = d_ki[..., 0] * d_ij[..., 1] - d_ki[..., 1] * d_ij[..., 0]
+        orientation = np.where(det > 0, 1, -1)
 
+    if area.ndim == 0:
+        area, diameter, inradius = float(area), float(diameter), float(inradius)
+        orientation = int(orientation)
     return TriangleGeom(
         edge_lengths=lengths,
         angles=angles,

@@ -63,7 +63,8 @@ class ParamSurface:
     position : callable
         w (2,) -> x(w) (m,).
     gradient : callable
-        w (2,) -> grad x(w) (m, 2), columns are the partials.
+        w (2,) -> grad x(w) (m, 2), columns are the partials.  Also takes
+        stacked points w (*S, 2) and returns (*S, m, 2).
     grad_lipschitz : float
         Lipschitz constant of ``gradient`` in Frobenius norm.
     sigma_min, sigma_max : float
@@ -73,7 +74,8 @@ class ParamSurface:
         Area of the surface, when known in closed form.
     patch_area : callable or None
         Optional closed-form area of the curved patch spanned by three
-        surface points (used by the analytic weight mode).
+        surface points (used by the analytic weight mode).  Also takes
+        three stacks of points (*S, m) and returns the areas (*S,).
     """
 
     position: Callable[[np.ndarray], np.ndarray]
@@ -90,51 +92,41 @@ class ParamSurface:
         if self.sigma_min > self.sigma_max:
             raise ValueError("sigma_min exceeds sigma_max")
 
-    def area_element(self, w) -> float:
-        """sqrt(det(grad^T grad)) at parameter point w."""
+    def area_element(self, w):
+        """sqrt(det(grad^T grad)) at parameter point w (2,), a float, or at
+        stacked points (*S, 2), an array (*S,)."""
         g = self.gradient(np.asarray(w, dtype=float))
-        return float(np.sqrt(max(np.linalg.det(g.T @ g), 0.0)))
+        element = np.sqrt(np.maximum(np.linalg.det(np.swapaxes(g, -1, -2) @ g), 0.0))
+        return float(element) if element.ndim == 0 else element
 
 
-def _tri_area2d(p):
-    return 0.5 * float(
-        (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-        - (p[1, 1] - p[0, 1]) * (p[2, 0] - p[0, 0])
-    )
+def patch_area_quadrature(surface: ParamSurface, cells, order: int = 3):
+    """Integrate the surface area element over parameter-domain cells.
 
-
-def patch_area_quadrature(surface: ParamSurface, cell, order: int = 3) -> float:
-    """Integrate the surface area element over a parameter-domain cell.
-
-    `cell` is a (3, 2) triangle or a (k, 2) convex polygon, which is fan
-    split into triangles.  Returns the (signed-orientation-free) area of
-    the surface patch above the cell.
+    `cells` is one cell or a sequence of cells.  A cell is a (3, 2)
+    triangle or a (k, 2) convex polygon, which is fan split into
+    triangles.  Returns the (signed-orientation-free) area of the surface
+    patch above the cell, a float, or above each cell, an array; the
+    area element is evaluated in one call for all cells.
     """
-    cell = np.asarray(cell, dtype=float)
-    if cell.ndim != 2 or cell.shape[0] < 3 or cell.shape[1] != 2:
+    single = len(cells) > 0 and np.ndim(cells[0]) == 1
+    cells = [np.asarray(c, dtype=float) for c in ([cells] if single else cells)]
+    if any(c.ndim != 2 or c.shape[0] < 3 or c.shape[1] != 2 for c in cells):
         raise DegenerateTriangle("parameter cell must be (k, 2) with k >= 3")
+    sizes = np.array([len(c) for c in cells], dtype=int)
+    points = np.concatenate(cells) if cells else np.empty((0, 2))
+    # Fan triangle s of a cell starting at row a of `points` is
+    # (a, a + s, a + s + 1), s = 1 .. k - 2.
+    fans = sizes - 2
+    owner = np.repeat(np.arange(len(cells)), fans)
+    apex = np.repeat(np.cumsum(sizes) - sizes, fans)
+    s = np.arange(fans.sum()) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+    tris = points[np.stack([apex, apex + s, apex + s + 1], axis=1)]  # (T, 3, 2)
+    u, w = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    area = 0.5 * np.abs(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
     bary, weights = triangle_rule(order)
-    total = 0.0
-    for t in range(1, cell.shape[0] - 1):
-        tri = cell[[0, t, t + 1]]
-        area = abs(_tri_area2d(tri))
-        if area == 0.0:
-            continue
-        for bc, wq in zip(bary, weights):
-            total += wq * surface.area_element(bc @ tri) * area
-    return total
-
-
-def gauss_legendre_2d(n_u: int, n_v: int, box):
-    """Tensor Gauss-Legendre nodes and weights on a rectangle.
-
-    `box` is ((u0, u1), (v0, v1)).  Returns (points (k, 2), weights (k,)).
-    """
-    (u0, u1), (v0, v1) = box
-    xu, wu = np.polynomial.legendre.leggauss(n_u)
-    xv, wv = np.polynomial.legendre.leggauss(n_v)
-    u = 0.5 * (u1 - u0) * xu + 0.5 * (u1 + u0)
-    v = 0.5 * (v1 - v0) * xv + 0.5 * (v1 + v0)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    ww = np.outer(wu, wv) * 0.25 * (u1 - u0) * (v1 - v0)
-    return np.column_stack([uu.ravel(), vv.ravel()]), ww.ravel()
+    element = surface.area_element(bary @ tris)  # (T, Q)
+    # bincount adds each cell's terms in triangle then point order.
+    terms = (weights * element * area[:, None]).ravel()
+    total = np.bincount(np.repeat(owner, len(weights)), weights=terms, minlength=len(cells))
+    return float(total[0]) if single else total

@@ -85,6 +85,28 @@ class TestFaceWeights:
         assert row_sums.max() <= 1e-12 * scale
 
 
+class TestAssembly:
+    def test_equals_per_face_reference(self):
+        mesh = planar_disk_mesh(6, 9)
+        rng = np.random.default_rng(14)
+        radius = 0.6 * rng.random(mesh.num_faces)
+        angle = 2 * math.pi * rng.random(mesh.num_faces)
+        mu = BeltramiCoefficient(radius * np.cos(angle), radius * np.sin(angle))
+        row_of = {int(v): r for r, v in enumerate(mesh.interior_vertices())}
+        expected = np.zeros((len(row_of), mesh.num_vertices))
+        for t, ids in enumerate(mesh.faces):
+            for a in range(3):
+                corners = [ids[a], ids[(a + 1) % 3], ids[(a + 2) % 3]]
+                if int(corners[0]) not in row_of:
+                    continue
+                w = face_weights(*mesh.vertices[corners], mu.mu1[t], mu.mu2[t])
+                expected[row_of[int(corners[0])], corners] += w
+        system = assemble_beltrami(mesh, mu)
+        # Entries shared by faces are summed in another order.
+        scale = np.abs(expected).max()
+        assert np.allclose(system.interior_rows.toarray(), expected, rtol=0, atol=1e-14 * scale)
+
+
 class TestSolve:
     def test_constant_boundary_gives_constant(self):
         mesh = planar_disk_mesh(6, 9)

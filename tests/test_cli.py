@@ -102,6 +102,14 @@ class TestConverge:
         assert len(runs) == 1
         assert len(runs[0].read_text().splitlines()) == 3
 
+    def test_equal_h_writes_no_fit(self, tmp_path):
+        # m = 3 for every n here, so every row has h = sqrt(3)
+        code = run(["--out-dir", str(tmp_path), "converge", "--r", "0.25", "--n-list", "8,16,32"])
+        assert code == 0
+        (run_dir,) = tmp_path.glob("sweep_*")
+        assert (run_dir / "sweep.csv").exists()
+        assert not (run_dir / "fit.txt").exists()
+
     def test_deterministic_outputs(self, tmp_path):
         blobs = []
         for tag in ("a", "b"):

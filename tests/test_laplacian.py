@@ -15,6 +15,7 @@ from diskmap import (
     face_image_areas,
     gen_hemisphere,
     mapped_area,
+    patch_area_quadrature,
     per_triangle_dirichlet,
     per_triangle_dirichlet_matrix,
     stereographic_project,
@@ -85,6 +86,14 @@ class TestAssembly:
         assert ratios.min() > 0
         # patches tile the hemisphere: total curved area is 2 pi
         assert (ratios * areas).sum() == pytest.approx(2 * math.pi, rel=1e-5)
+
+    def test_quadrature_over_cell_list_equals_per_cell_calls(self, hemi_small):
+        cells = hemi_small.param_cells  # triangles, then the pole quads
+        assert {len(c) for c in cells} == {3, 4}
+        batched = patch_area_quadrature(hemi_small.surface, cells, 4)
+        single = [patch_area_quadrature(hemi_small.surface, c, 4) for c in cells]
+        assert all(isinstance(a, float) for a in single)
+        assert np.array_equal(batched, single)
 
     def test_quadrature_ratios_tend_to_one_off_the_pole(self):
         worst = []

@@ -88,6 +88,33 @@ class TestTriangleMetrics:
         geom = triangle_metrics([0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0])
         assert np.allclose(geom.normal, [0, 0, 1])
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_equals_per_triangle_calls(self, dim):
+        rng = np.random.default_rng(11)
+        pts = np.array([random_triangle(rng, dim) for _ in range(50)])
+        stacked = triangle_metrics(pts[:, 0], pts[:, 1], pts[:, 2])
+        for t, tri in enumerate(pts):
+            one = triangle_metrics(*tri)
+            for field in ("edge_lengths", "angles", "cotangents"):
+                assert np.array_equal(getattr(stacked, field)[t], getattr(one, field))
+            for field in ("area", "diameter", "inradius", "orientation"):
+                assert getattr(stacked, field)[t] == getattr(one, field)
+            assert isinstance(one.area, float) and isinstance(one.orientation, int)
+            if dim == 3:
+                assert np.array_equal(stacked.normal[t], one.normal)
+            else:
+                assert stacked.normal is None and one.normal is None
+                u, w = tri[1] - tri[0], tri[2] - tri[0]
+                assert one.orientation == np.sign(u[0] * w[1] - u[1] * w[0])
+
+    def test_stack_names_first_degenerate_face(self):
+        rng = np.random.default_rng(12)
+        pts = np.array([random_triangle(rng, 2) for _ in range(8)])
+        for t in (3, 6):
+            pts[t, 2] = 2.0 * pts[t, 1] - pts[t, 0]  # collinear corners
+        with pytest.raises(DegenerateTriangle, match="^face 3: "):
+            triangle_metrics(pts[:, 0], pts[:, 1], pts[:, 2])
+
 
 class TestTriMesh:
     def test_square_boundary(self, square_mesh):
@@ -111,6 +138,31 @@ class TestTriMesh:
         faces = [[0, 1, 2], [0, 2, 3], [0, 2, 4]]
         with pytest.raises(InvalidTopology):
             TriMesh(verts, faces)
+
+    def test_edge_table(self, hemi_small):
+        mesh = hemi_small.mesh
+        faces = mesh.faces
+        # the edge opposite each corner joins the other two corners
+        for c in range(3):
+            a, b = faces[:, (c + 1) % 3], faces[:, (c + 2) % 3]
+            expected = np.column_stack([np.minimum(a, b), np.maximum(a, b)])
+            assert np.array_equal(mesh.edges[mesh.face_edges[:, c]], expected)
+        assert len({tuple(e) for e in mesh.edges.tolist()}) == len(mesh.edges)
+        # edges are numbered by first appearance in face order
+        firsts = np.unique(mesh.face_edges.ravel(), return_index=True)[1]
+        assert np.all(np.diff(firsts) > 0)
+        # a disk: V - E + F = 1
+        assert mesh.num_vertices - len(mesh.edges) + mesh.num_faces == 1
+
+    def test_rejection_names_first_offending_edge(self):
+        verts = np.random.default_rng(13).normal(size=(6, 3))
+        # faces 0 and 1 both traverse edge (1, 2) from 1 to 2; edge (3, 5)
+        # has three faces but first appears later, in face 2
+        faces = [[0, 1, 2], [1, 2, 4], [3, 5, 0], [5, 3, 4], [3, 5, 2]]
+        with pytest.raises(InvalidTopology, match=r"orientation across edge \(1, 2\)"):
+            TriMesh(verts, faces)
+        with pytest.raises(InvalidTopology, match=r"edge \(3, 5\) belongs to 3 faces"):
+            TriMesh(verts, faces[2:])
 
     def test_inconsistent_orientation_rejected(self):
         verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
