@@ -43,6 +43,7 @@ from .errors import (
     InsufficientData,
     InvalidTopology,
     NearPole,
+    NonFiniteVertex,
     NonFiniteWeight,
     OffPlane,
     ParseError,

@@ -17,7 +17,6 @@ total area) together with the face and its parameter-domain triangle:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -377,52 +376,66 @@ class BoundReport:
 
     def write_csv(self, path):
         """One row per face plus a summary row of the maxima."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "face",
-                    "diam",
-                    "diam_over_sin",
-                    "param_diam",
-                    "plane_distance_bound",
-                    "pinv_norm",
-                    "tilt_bound",
-                    "grad_factor",
-                    "grad_offset",
-                    "certified",
-                ]
-            )
-            q = self.quality
-            for t in range(len(self.plane_distance)):
-                writer.writerow(
-                    [
-                        t,
-                        f"{q.diam[t]:.17g}",
-                        f"{q.diam_over_sin[t]:.17g}",
-                        f"{q.param_diam[t]:.17g}",
-                        f"{self.plane_distance[t]:.17g}",
-                        f"{self.pinv_norm[t]:.17g}",
-                        f"{self.tilt[t]:.17g}",
-                        f"{self.grad_factor[t]:.17g}",
-                        f"{self.grad_offset[t]:.17g}",
-                        int(self.certified[t]),
-                    ]
-                )
-            writer.writerow(
-                [
-                    "max",
-                    f"{q.max_diam:.17g}",
-                    f"{q.max_diam_over_sin:.17g}",
-                    f"{np.max(q.param_diam):.17g}",
-                    f"{np.max(self.plane_distance):.17g}",
-                    f"{np.max(self.pinv_norm):.17g}",
-                    f"{np.max(self.tilt):.17g}",
-                    f"{self.factor_max:.17g}",
-                    f"{self.offset_max:.17g}",
-                    int(self.certified.all()),
-                ]
-            )
+        q = self.quality
+        columns = [
+            q.diam,
+            q.diam_over_sin,
+            q.param_diam,
+            self.plane_distance,
+            self.pinv_norm,
+            self.tilt,
+            self.grad_factor,
+            self.grad_offset,
+        ]
+        summary = [
+            q.max_diam,
+            q.max_diam_over_sin,
+            np.max(q.param_diam),
+            np.max(self.plane_distance),
+            np.max(self.pinv_norm),
+            np.max(self.tilt),
+            self.factor_max,
+            self.offset_max,
+            int(self.certified.all()),
+        ]
+        header = [
+            "face",
+            "diam",
+            "diam_over_sin",
+            "param_diam",
+            "plane_distance_bound",
+            "pinv_norm",
+            "tilt_bound",
+            "grad_factor",
+            "grad_offset",
+            "certified",
+        ]
+        _write_face_csv(path, header, columns, self.certified, summary)
+
+
+_CSV_BLOCK = 1024
+
+
+def _write_face_csv(path, header, columns, flags, summary):
+    """CSV of rows ``face, columns..., flag`` and a final ``max`` row.
+
+    Floats are written with 17 significant digits and the face index and
+    flags as integers, with ``\\r\\n`` line endings: the bytes
+    ``csv.writer`` gives for the same values, at one format per row.
+    """
+    row = "%d" + ",%.17g" * len(columns) + ",%d\r\n"
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    flags = np.asarray(flags, dtype=int)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        # A block of rows at a time, so that only one block's values exist
+        # as Python objects.
+        for lo in range(0, len(flags), _CSV_BLOCK):
+            block = slice(lo, lo + _CSV_BLOCK)
+            values = [c[block].tolist() for c in columns]
+            rows = zip(range(lo, lo + _CSV_BLOCK), *values, flags[block].tolist())
+            fh.writelines(row % r for r in rows)
+        fh.write(("max" + row[2:]) % tuple(summary))
 
 
 def build_bound_report(
@@ -495,27 +508,20 @@ def estimate_map_grad_lipschitz(mesh: TriMesh, grad_at_vertex) -> float:
 def quality_csv(quality: TriangleQuality, path, flagged=None):
     """Write per-face quality rows plus a summary row."""
     flagged_set = {d.face for d in flagged} if flagged else set()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["face", "diam", "min_angle", "diam_over_sin", "diam_over_inradius", "degraded"])
-        for t in range(len(quality.diam)):
-            writer.writerow(
-                [
-                    t,
-                    f"{quality.diam[t]:.17g}",
-                    f"{quality.min_angle[t]:.17g}",
-                    f"{quality.diam_over_sin[t]:.17g}",
-                    f"{quality.diam_over_inradius[t]:.17g}",
-                    int(t in flagged_set),
-                ]
-            )
-        writer.writerow(
-            [
-                "max",
-                f"{quality.max_diam:.17g}",
-                f"{quality.min_angle.min():.17g}",
-                f"{quality.max_diam_over_sin:.17g}",
-                f"{quality.max_diam_over_inradius:.17g}",
-                len(flagged_set),
-            ]
-        )
+    degraded = np.zeros(len(quality.diam), dtype=int)
+    degraded[list(flagged_set)] = 1
+    columns = [
+        quality.diam,
+        quality.min_angle,
+        quality.diam_over_sin,
+        quality.diam_over_inradius,
+    ]
+    summary = [
+        quality.max_diam,
+        quality.min_angle.min(),
+        quality.max_diam_over_sin,
+        quality.max_diam_over_inradius,
+        len(flagged_set),
+    ]
+    header = ["face", "diam", "min_angle", "diam_over_sin", "diam_over_inradius", "degraded"]
+    _write_face_csv(path, header, columns, degraded, summary)

@@ -106,7 +106,7 @@ def cmd_solve(args):
     )
     print(
         f"iterations={report.iterations} converged={report.converged} "
-        f"folds={report.fold_count}"
+        f"folds={report.fold_count} stop: {report.message}"
     )
     return 0 if report.converged else NUMERICAL_ERROR
 

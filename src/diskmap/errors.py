@@ -29,6 +29,10 @@ class NearPole(DiskmapError):
     """Point too close to the projection pole."""
 
 
+class NonFiniteVertex(DiskmapError):
+    """A mesh vertex has a NaN or infinite coordinate."""
+
+
 class NonFiniteWeight(DiskmapError):
     """A Laplacian weight evaluated to NaN or infinity."""
 

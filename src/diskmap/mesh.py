@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTriangle, InvalidTopology, ParseError
+from .errors import DegenerateTriangle, InvalidTopology, NonFiniteVertex, ParseError
 
 # A face is rejected when its area falls below this fraction of diameter^2.
 DEGENERACY_THRESHOLD = 1e-14
@@ -23,7 +23,8 @@ class TriMesh:
     Parameters
     ----------
     vertices : array_like, shape (N, m)
-        Vertex coordinates, m >= 2.
+        Vertex coordinates, m >= 2, all finite (``NonFiniteVertex`` names
+        the first vertex that is not).
     faces : array_like, shape (F, 3)
         Ordered vertex index triples.  All faces must share a consistent
         orientation: every interior edge is traversed in opposite
@@ -51,6 +52,10 @@ class TriMesh:
         f = np.asarray(faces, dtype=int)
         if v.ndim != 2 or v.shape[1] < 2:
             raise InvalidTopology("vertices must have shape (N, m) with m >= 2")
+        finite = np.isfinite(v).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteVertex(f"vertex {i} has a non-finite coordinate {v[i].tolist()}")
         if f.size == 0:
             f = f.reshape(0, 3)
         if f.ndim != 2 or f.shape[1] != 3:
@@ -135,12 +140,12 @@ class TriMesh:
 
     def boundary_loops(self):
         """Boundary cycles as vertex index lists, following face orientation."""
-        succ = {}
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            for i, j in zip(self.faces[:, a], self.faces[:, b]):
-                key = (min(i, j), max(i, j))
-                if key in self._boundary_set:
-                    succ[int(i)] = int(j)
+        # Directed edges i -> j, then j -> k, then k -> i of every face.
+        tails, heads = self.faces.T.ravel(), self.faces[:, [1, 2, 0]].T.ravel()
+        n = self.num_vertices
+        keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+        on_boundary = np.isin(keys, self.boundary_edges @ np.array([n, 1]))
+        succ = dict(zip(tails[on_boundary].tolist(), heads[on_boundary].tolist()))
         loops = []
         remaining = dict(succ)
         while remaining:

@@ -6,7 +6,7 @@ free planar coordinates.  The driver is a backtracking line-search
 descent with optional limited-memory curvature pairs, optionally
 preconditioned by a factorization of the interior block of the Laplacian
 (the energy is quadratic in the interior, so that block is the exact
-interior Hessian).  Accepted iterates never increase the energy.
+interior Hessian).  Accepted iterates strictly lower the energy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DimensionMismatch, ZeroReference
+from .errors import DimensionMismatch, InvalidTopology, ZeroReference
 from .laplacian import CotanLaplacian, EnergyBreakdown, as_vertex_map, face_image_areas
 from .mesh import TriMesh
 
@@ -66,11 +66,14 @@ class MinimizerOptions:
 
     ``gradient_tolerance`` is the absolute norm of the reduced gradient
     (interior coordinates plus boundary tangential components) at which
-    the run reports convergence.  ``memory`` limited-memory pairs are
-    kept (0 disables them); ``precondition`` applies the inverse interior
-    Laplacian block as the initial metric.  The line search starts at
-    ``initial_step`` and multiplies by ``backtrack_factor`` at most
-    ``max_backtracks`` times per direction.
+    the run reports convergence; it is the only convergence test.
+    ``memory`` limited-memory pairs are kept (0 disables them);
+    ``precondition`` applies the inverse interior Laplacian block as the
+    initial metric.  The line search tries ``max_backtracks`` steps per
+    direction, starting at ``initial_step`` and multiplying by
+    ``backtrack_factor``; a step is accepted only when its energy is
+    strictly below the current one and passes the Armijo test.  The run
+    stops at ``max_iterations`` accepted steps at the latest.
     """
 
     max_iterations: int = 2000
@@ -93,9 +96,18 @@ class SolveReport:
     """Outcome of one minimization run.
 
     ``energy_trace`` has one breakdown per accepted iterate (the entry at
-    index 0 is the feasible initial map); the conformal component is
-    non-increasing by construction.  ``fold_count`` counts faces with a
-    negative signed image area in the final map.
+    index 0 is the feasible initial map); the conformal component
+    strictly decreases along it by construction.  ``fold_count`` counts
+    faces with a negative signed image area in the final map.
+    ``energy_evaluations`` counts the line search's energy evaluations.
+
+    ``message`` gives one of four stop reasons: "gradient tolerance
+    reached" (the only one with ``converged`` True); "iteration cap
+    reached"; "no step lowers the energy at double precision", when every
+    trial step, down to one whose predicted decrease is below the
+    rounding of the energy, leaves it unchanged or higher; and "line
+    search found no lower energy", when the trial steps ran out before
+    that point.  The last two also give the gradient norm.
     """
 
     final_map: np.ndarray
@@ -105,6 +117,7 @@ class SolveReport:
     iterations: int
     converged: bool
     message: str
+    energy_evaluations: int
 
     @property
     def fold_count(self) -> int:
@@ -203,17 +216,27 @@ def minimize(
 
     The initial boundary vertices must already be within 0.1 of the unit
     circle; they are snapped onto it radially on entry.  Each accepted
-    step satisfies a backtracking Armijo decrease, so the recorded
-    conformal energies never increase; the run converges when the reduced
-    gradient norm reaches the tolerance, and otherwise stops at the
-    iteration cap or when no descent step of at least the minimal step
-    size exists (reported as not converged with the best iterate).
+    step satisfies a backtracking Armijo decrease and lowers the energy
+    strictly, so the recorded conformal energies strictly decrease.  The
+    run converges when the reduced gradient norm reaches the tolerance.
+    Otherwise it stops, not converged and with the best iterate, at the
+    iteration cap or when neither the curvature-model direction nor the
+    plain preconditioned one has a trial step that lowers the energy
+    (see :class:`SolveReport` for the messages).
+
+    Raises ``InvalidTopology`` unless the mesh is a topological disk: one
+    boundary loop and V - E + F = 1.
     """
     options = options or MinimizerOptions()
+    loops = len(mesh.boundary_loops())
+    euler = mesh.num_vertices - len(mesh.edges) + mesh.num_faces
+    if loops != 1 or euler != 1:
+        raise InvalidTopology(
+            f"disk mapping needs a topological disk (1 boundary loop, "
+            f"V - E + F = 1); mesh has {loops} boundary loops, V - E + F = {euler}"
+        )
     init = as_vertex_map(init, mesh.num_vertices)
     boundary = mesh.boundary_vertices
-    if boundary.size == 0:
-        raise DimensionMismatch("mesh has no boundary; disk mapping needs one")
     radii = np.linalg.norm(init[boundary], axis=1)
     if np.any(np.abs(radii - 1.0) > _BOUNDARY_SLACK):
         raise ValueError(
@@ -235,8 +258,27 @@ def minimize(
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     iterations = 0
+    evaluations = 0
     converged = False
     message = "iteration cap reached"
+
+    def backtrack(direction, slope):
+        """The first trial step whose energy is strictly below the current
+        one and passes the Armijo test, or None."""
+        nonlocal evaluations
+        step = options.initial_step
+        for _ in range(options.max_backtracks):
+            x_new = x + step * direction
+            d_new, a_new, f_new, th_new, lf_new, pf_new = problem.energy(x_new)
+            evaluations += 1
+            e_new = d_new - a_new
+            # Once step * slope is below the rounding of the energy the
+            # Armijo bound equals the energy; an unchanged energy is no
+            # progress, so it takes the strict test to reject it.
+            if e_new < energy and e_new <= energy + _ARMIJO * step * slope:
+                return x_new, d_new, a_new, f_new, th_new, lf_new, pf_new
+            step *= options.backtrack_factor
+        return None
 
     while iterations < options.max_iterations:
         grad_norm = np.linalg.norm(g)
@@ -260,30 +302,35 @@ def minimize(
             q += (a - (y @ q) / (y @ s)) * s
         direction = -q
 
-        def backtrack(direction, x, energy, slope):
-            step = options.initial_step
-            for _ in range(options.max_backtracks):
-                x_new = x + step * direction
-                d_new, a_new, f_new, th_new, lf_new, pf_new = problem.energy(x_new)
-                if d_new - a_new <= energy + _ARMIJO * step * slope:
-                    return x_new, d_new, a_new, f_new, th_new, lf_new, pf_new
-                step *= options.backtrack_factor
-            return None
-
         slope = float(g @ direction)
         if slope > -1e-14 * np.linalg.norm(direction) * grad_norm:
             direction = -problem.precondition(g)
             slope = float(g @ direction)
             s_hist, y_hist = [], []
-        result = backtrack(direction, x, energy, slope)
+        result = backtrack(direction, slope)
         if result is None and s_hist:
             # Curvature model rejected; retry with the plain direction.
             s_hist, y_hist = [], []
             direction = -problem.precondition(g)
             slope = float(g @ direction)
-            result = backtrack(direction, x, energy, slope)
+            result = backtrack(direction, slope)
         if result is None:
-            message = "line search found no decreasing step"
+            above = (
+                f"the gradient norm {grad_norm:.3g} is still above the "
+                f"tolerance {options.gradient_tolerance:.3g}"
+            )
+            # When even the smallest trial step's predicted change is lost
+            # in the rounding of the energy, no smaller step can lower it.
+            smallest = options.initial_step * options.backtrack_factor ** (
+                options.max_backtracks - 1
+            )
+            if energy + smallest * slope == energy:
+                message = f"no step lowers the energy at double precision; {above}"
+            else:
+                message = (
+                    f"line search found no lower energy in "
+                    f"{options.max_backtracks} trial steps; {above}"
+                )
             break
 
         x_new, d_new, a_new, f_new, th_new, lf_new, pf_new = result
@@ -314,6 +361,7 @@ def minimize(
         iterations=iterations,
         converged=converged,
         message=message,
+        energy_evaluations=evaluations,
     )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,20 @@ def planar_disk_mesh(n=8, m=12):
     hemi = gen_hemisphere(HemisphereSpec.from_counts(n, m))
     flat = stereographic_project(hemi.mesh.vertices)
     return TriMesh(flat, hemi.mesh.faces)
+
+
+def annulus_mesh(rings=3, m=12):
+    """Planar annulus: `rings` concentric circles of `m` vertices,
+    radii 0.4 to 1, joined by counter-clockwise quads split in two."""
+    radii = np.linspace(0.4, 1.0, rings)
+    angles = 2 * math.pi * np.arange(m) / m
+    vertices = np.array([[r * math.cos(a), r * math.sin(a)] for r in radii for a in angles])
+    faces = []
+    for ring in range(rings - 1):
+        for k in range(m):
+            a, b = ring * m + k, ring * m + (k + 1) % m
+            faces += [[a, b, b + m], [a, b + m, a + m]]
+    return TriMesh(vertices, faces)
 
 
 def random_triangle(rng, dim=2, scale=1.0, min_quality=1e-3):

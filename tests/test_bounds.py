@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from diskmap import (
     tangent_tilt_bound,
     triangle_metrics,
 )
-from diskmap.bounds import is_strictly_decreasing
+from diskmap.bounds import is_strictly_decreasing, quality_csv
 from diskmap.hemisphere import (
     sphere_gradient,
     sphere_point,
@@ -443,3 +444,85 @@ class TestDegradedFaceScan:
         assert scan_degraded_faces(good.mesh) == []
         bad = gen_hemisphere(HemisphereSpec.from_exponent(32, 0.25))
         assert len(scan_degraded_faces(bad.mesh)) > 0
+
+
+def csv_writer_bytes(path, header, columns, flags, summary):
+    """The face table as csv.writer writes it, one 17-digit string per value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(len(flags)):
+            writer.writerow([t, *(f"{c[t]:.17g}" for c in columns), int(flags[t])])
+        writer.writerow(["max", *(f"{v:.17g}" for v in summary[:-1]), summary[-1]])
+    return path.read_bytes()
+
+
+class TestCsvWriters:
+    def test_quality_csv_bytes(self, tmp_path):
+        # pole needles are flagged on this mesh, so the flag column varies,
+        # and it has more faces than one block of rows
+        hemi = gen_hemisphere(HemisphereSpec.from_counts(8, 80))
+        assert hemi.mesh.num_faces > 1024
+        quality = quality_report(hemi.mesh)
+        flagged = scan_degraded_faces(hemi.mesh)
+        faces = {d.face for d in flagged}
+        assert 0 < len(faces) < hemi.mesh.num_faces
+        quality_csv(quality, tmp_path / "quality.csv", flagged)
+        columns = [
+            quality.diam,
+            quality.min_angle,
+            quality.diam_over_sin,
+            quality.diam_over_inradius,
+        ]
+        summary = [
+            quality.max_diam,
+            quality.min_angle.min(),
+            quality.max_diam_over_sin,
+            quality.max_diam_over_inradius,
+            len(faces),
+        ]
+        expected = csv_writer_bytes(
+            tmp_path / "expected.csv",
+            ["face", "diam", "min_angle", "diam_over_sin", "diam_over_inradius", "degraded"],
+            columns,
+            [t in faces for t in range(hemi.mesh.num_faces)],
+            summary,
+        )
+        assert (tmp_path / "quality.csv").read_bytes() == expected
+
+    def test_bound_report_csv_bytes(self, tmp_path):
+        # more faces than one block of rows
+        hemi = gen_hemisphere(HemisphereSpec.from_counts(12, 60))
+        assert hemi.mesh.num_faces > 1024
+        cfg = BoundsConfig.for_surface(hemi.surface, map_grad_lipschitz=1.0)
+        report = build_bound_report(
+            hemi.mesh, hemi.param_tris, cfg, certified_mask=~hemi.pole_faces
+        )
+        report.write_csv(tmp_path / "bounds.csv")
+        q = report.quality
+        columns = [
+            q.diam,
+            q.diam_over_sin,
+            q.param_diam,
+            report.plane_distance,
+            report.pinv_norm,
+            report.tilt,
+            report.grad_factor,
+            report.grad_offset,
+        ]
+        summary = [
+            q.max_diam,
+            q.max_diam_over_sin,
+            np.max(q.param_diam),
+            np.max(report.plane_distance),
+            np.max(report.pinv_norm),
+            np.max(report.tilt),
+            report.factor_max,
+            report.offset_max,
+            0,
+        ]
+        header = "face,diam,diam_over_sin,param_diam,plane_distance_bound,pinv_norm,tilt_bound,grad_factor,grad_offset,certified"
+        expected = csv_writer_bytes(
+            tmp_path / "expected.csv", header.split(","), columns, report.certified, summary
+        )
+        assert (tmp_path / "bounds.csv").read_bytes() == expected

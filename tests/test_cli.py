@@ -4,7 +4,7 @@ import pytest
 from diskmap import HemisphereSpec, gen_hemisphere, load_mesh, save_mesh
 from diskmap.cli import main
 
-from conftest import planar_disk_mesh
+from conftest import annulus_mesh, planar_disk_mesh
 
 
 def run(args):
@@ -52,6 +52,32 @@ class TestSolve:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["solve", "--mesh", str(tmp_path / "nope.off")]) == 2
+
+    def test_stall_exit_1_with_reason(self, tmp_path, capsys):
+        code = run(
+            ["--out-dir", str(tmp_path), "solve", "--n", "256", "--r", "0.25"]
+        )
+        assert code == 1
+        line = capsys.readouterr().out.splitlines()[1]
+        assert "converged=False folds=0 stop: no step lowers the energy at double precision" in line
+        trace = (tmp_path / "trace.csv").read_text().splitlines()
+        assert len(trace) - 2 <= 100  # header and initial map
+
+    def test_annulus_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "annulus.off"
+        save_mesh(annulus_mesh(), path)
+        assert run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)]) == 1
+        assert "2 boundary loops" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
+    def test_non_finite_vertex_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "disk.off"
+        save_mesh(planar_disk_mesh(4, 6), path)
+        lines = path.read_text().splitlines()
+        lines[4] = "nan 0 0"  # vertex 2
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)]) == 1
+        assert "vertex 2 " in capsys.readouterr().err
 
 
 class TestQuality:

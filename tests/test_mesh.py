@@ -8,6 +8,7 @@ from diskmap import (
     HemisphereSpec,
     InvalidTopology,
     NearPole,
+    NonFiniteVertex,
     ParseError,
     TriMesh,
     gen_hemisphere,
@@ -18,7 +19,7 @@ from diskmap import (
 )
 from diskmap.mesh import face_metrics
 
-from conftest import random_triangle
+from conftest import annulus_mesh, random_triangle
 
 
 class TestTriangleMetrics:
@@ -125,6 +126,26 @@ class TestTriMesh:
         assert square_mesh.boundary_loops() == [[0, 1, 2, 3]]
         assert len(square_mesh.interior_vertices()) == 0
 
+    @pytest.mark.parametrize("name", ["hemisphere", "annulus"])
+    def test_boundary_loops_equal_face_walk(self, name):
+        mesh = (
+            gen_hemisphere(HemisphereSpec.from_counts(6, 9)).mesh
+            if name == "hemisphere"
+            else annulus_mesh()
+        )
+        # reference: successor of each boundary vertex, faces read edge by edge
+        succ = {}
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            for i, j in zip(mesh.faces[:, a].tolist(), mesh.faces[:, b].tolist()):
+                if mesh.is_boundary_edge(i, j):
+                    succ[i] = j
+        loops = mesh.boundary_loops()
+        assert sorted(v for loop in loops for v in loop) == sorted(succ)
+        for loop in loops:
+            assert loop[0] == min(loop)
+            assert [succ[v] for v in loop] == loop[1:] + loop[:1]
+        assert len(loops) == (1 if name == "hemisphere" else 2)
+
     def test_bad_index_rejected(self):
         with pytest.raises(InvalidTopology):
             TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 5]])
@@ -163,6 +184,13 @@ class TestTriMesh:
             TriMesh(verts, faces)
         with pytest.raises(InvalidTopology, match=r"edge \(3, 5\) belongs to 3 faces"):
             TriMesh(verts, faces[2:])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        verts[2, 1] = verts[3, 0] = bad
+        with pytest.raises(NonFiniteVertex, match="vertex 2 "):
+            TriMesh(verts, [[0, 1, 2], [0, 2, 3]])
 
     def test_inconsistent_orientation_rejected(self):
         verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]

@@ -6,18 +6,22 @@ import pytest
 from diskmap import (
     DimensionMismatch,
     HemisphereSpec,
+    InvalidTopology,
     MinimizerOptions,
     ZeroReference,
+    TriMesh,
     assemble_laplacian,
     conformal_energy,
+    disk_initial_guess,
     energy_gradient,
+    face_nearest,
     gen_hemisphere,
     minimize,
     normalize_map,
     relative_error,
 )
 
-from conftest import planar_disk_mesh
+from conftest import annulus_mesh, planar_disk_mesh
 
 
 def hemi_with_laplacian(n, r=11 / 12, rho="quadrature"):
@@ -156,6 +160,82 @@ class TestMinimize:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,dirichlet,area,conformal,grad_norm,folds"
         assert len(lines) == len(report.energy_trace) + 1
+
+
+STALL = "no step lowers the energy at double precision"
+
+
+@pytest.fixture(scope="module")
+def thin_solve():
+    """The r = 0.25, n = 256 hemisphere solved from its harmonic init."""
+    hemi, lap = hemi_with_laplacian(256, 0.25)
+    source = face_nearest(hemi.mesh, np.array([0.0, 0.0, -1.0]))
+    return minimize(hemi.mesh, lap, disk_initial_guess(hemi.mesh, lap, source))
+
+
+class TestStop:
+    def test_thin_hemisphere_stops_at_the_energy_floor(self, thin_solve):
+        # the energy stops changing near iteration 45 with the gradient
+        # at 3.3e-6; the run used to accept unchanged energies up to the cap
+        assert thin_solve.iterations <= 100
+        assert not thin_solve.converged
+        assert thin_solve.message.startswith(STALL)
+        assert "above the tolerance" in thin_solve.message
+        assert thin_solve.energy_trace[-1].conformal <= 0.8508467377767099 * (1 + 1e-9)
+        energies = [e.conformal for e in thin_solve.energy_trace]
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+
+    def test_energy_evaluations_counted(self, thin_solve):
+        # each accepted step costs at least one evaluation, and the last
+        # iterate exhausts a full line search
+        options = MinimizerOptions()
+        assert thin_solve.energy_evaluations >= thin_solve.iterations + options.max_backtracks
+
+    def test_converged_map_with_unreachable_tolerance(self):
+        hemi, lap = hemi_with_laplacian(8)
+        start = minimize(hemi.mesh, lap, hemi.reference_map())
+        assert start.converged
+        report = minimize(
+            hemi.mesh, lap, start.final_map, MinimizerOptions(gradient_tolerance=1e-14)
+        )
+        assert not report.converged
+        assert report.message.startswith(STALL)
+        assert report.iterations <= 10
+        energies = [e.conformal for e in report.energy_trace]
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+
+    def test_short_line_search_is_not_a_stall(self):
+        # steps of 1e6 and 5e5 raise the energy: the search ran out of
+        # trial steps long before the rounding of the energy
+        hemi, lap = hemi_with_laplacian(8)
+        report = minimize(
+            hemi.mesh,
+            lap,
+            hemi.reference_map(),
+            MinimizerOptions(initial_step=1e6, max_backtracks=2),
+        )
+        assert not report.converged
+        assert report.message.startswith("line search found no lower energy in 2 trial steps")
+        assert report.iterations == 0
+        assert report.energy_evaluations == 2
+
+
+class TestDiskTopology:
+    def test_annulus_rejected(self):
+        mesh = annulus_mesh()
+        assert len(mesh.boundary_loops()) == 2
+        lap = assemble_laplacian(mesh)
+        init = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1, keepdims=True)
+        with pytest.raises(InvalidTopology, match="2 boundary loops"):
+            minimize(mesh, lap, init)
+
+    def test_unused_vertex_rejected(self):
+        # one boundary loop, but V - E + F = 2
+        disk = planar_disk_mesh(4, 6)
+        mesh = TriMesh(np.vstack([disk.vertices, [[0.0, 0.0]]]), disk.faces)
+        lap = assemble_laplacian(mesh)
+        with pytest.raises(InvalidTopology, match="V - E \\+ F = 2"):
+            minimize(mesh, lap, mesh.vertices)
 
 
 class TestNormalizeMap:
