@@ -79,12 +79,14 @@ from .hemisphere import (
     stereographic_project,
 )
 from .laplacian import (
+    ConformalEnergy,
     CotanLaplacian,
     EnergyBreakdown,
     assemble_laplacian,
     conformal_energy,
     dirichlet_energy,
     dirichlet_energy_edge_sum,
+    energy_gradient,
     face_area_ratios,
     face_image_areas,
     mapped_area,
@@ -95,7 +97,6 @@ from .mesh import TriangleGeom, TriMesh, load_mesh, save_mesh, triangle_metrics
 from .minimizer import (
     MinimizerOptions,
     SolveReport,
-    energy_gradient,
     minimize,
     normalize_map,
     relative_error,

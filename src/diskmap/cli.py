@@ -45,12 +45,7 @@ def _hemisphere_spec(args):
 
 def _minimizer_options(args):
     return MinimizerOptions(
-        max_iterations=args.max_iterations,
-        gradient_tolerance=args.grad_tol,
-        backtrack_factor=args.backtrack_factor,
-        initial_step=args.initial_step,
-        memory=args.memory,
-        precondition=not args.no_precondition,
+        max_iterations=args.max_iterations, gradient_tolerance=args.grad_tol
     )
 
 
@@ -219,10 +214,6 @@ def _add_rho_args(p):
 def _add_minimizer_args(p):
     p.add_argument("--max-iterations", type=int, default=2000, dest="max_iterations")
     p.add_argument("--grad-tol", type=float, default=1e-6, dest="grad_tol")
-    p.add_argument("--backtrack-factor", type=float, default=0.5, dest="backtrack_factor")
-    p.add_argument("--initial-step", type=float, default=1.0, dest="initial_step")
-    p.add_argument("--memory", type=int, default=10)
-    p.add_argument("--no-precondition", action="store_true", dest="no_precondition")
 
 
 def build_parser():
@@ -301,9 +292,7 @@ def _apply_config(args):
         if key not in known:
             raise ValueError(f"{path}: unknown config key {key!r}")
         current = known[key]
-        if isinstance(current, bool):
-            known[key] = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
+        if isinstance(current, int):
             known[key] = int(raw)
         elif isinstance(current, float):
             known[key] = float(raw)

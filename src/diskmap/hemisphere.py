@@ -203,7 +203,7 @@ class HemisphereSpec:
 class HemisphereMesh:
     """Generated hemisphere: mesh, chart, and parameter-domain cells.
 
-    ``param_tris`` has one (3, 2) parameter triangle per face, ordered
+    ``param_tris`` (F, 3, 2) has one parameter triangle per face, ordered
     like the face's vertices.  Faces touching the pole get a synthetic
     apex at (mid-longitude, pi), since the pole has no unique longitude.
     ``param_cells`` holds the cells whose surface patches partition the
@@ -215,7 +215,7 @@ class HemisphereMesh:
     spec: HemisphereSpec
     mesh: TriMesh
     surface: ParamSurface
-    param_tris: list
+    param_tris: np.ndarray
     param_cells: list
     pole_faces: np.ndarray
 
@@ -277,60 +277,45 @@ def gen_hemisphere(spec: HemisphereSpec) -> HemisphereMesh:
     project to positively oriented planar triangles.
     """
     n, m = spec.n, spec.m
+    phi = 2.0 * math.pi * np.arange(m + 1) / m  # meridian m closes at 2 pi
+    # Rings 0 .. n - 1, then the pole's colatitude as row n.
+    psi = np.append(0.5 * math.pi + 0.5 * math.pi * np.arange(n) / n, math.pi)
 
-    phi = lambda i: 2.0 * math.pi * i / m  # noqa: E731 - tiny local closures
-    psi = lambda j: 0.5 * math.pi + 0.5 * math.pi * j / n  # noqa: E731
+    ring_sin = np.sin(psi[:n])[:, None]
+    vertices = np.empty((m * n + 1, 3))
+    vertices[0] = (0.0, 0.0, -1.0)
+    vertices[1:, 0] = (np.cos(phi[:m]) * ring_sin).ravel()
+    vertices[1:, 1] = (np.sin(phi[:m]) * ring_sin).ravel()
+    vertices[1:, 2] = np.repeat(np.cos(psi[:n]), m)
 
-    verts = [np.array([0.0, 0.0, -1.0])]
-    for j in range(n):
-        for i in range(m):
-            verts.append(sphere_point((phi(i), psi(j))))
-    vertices = np.array(verts)
+    def corner(i, j):
+        return np.stack([phi[i], psi[j]], axis=-1)
 
-    def vid(i, j):
-        return 1 + j * m + (i % m)
+    # Quad (i, j) spans meridians i, i + 1 and rings j, j + 1 and splits
+    # into the triangles (a, b, c) and (a, c, d), listed quad by quad.
+    j, i = (g.ravel() for g in np.meshgrid(np.arange(n - 1), np.arange(m), indexing="ij"))
+    a = 1 + j * m + (i + 1) % m
+    c = 1 + (j + 1) * m + i
+    band_faces = np.stack([a, a + m, c, a, c, c - m], axis=1).reshape(-1, 3)
+    band_tris = np.stack(
+        [corner(i + 1, j), corner(i + 1, j + 1), corner(i, j + 1),
+         corner(i + 1, j), corner(i, j + 1), corner(i, j)],
+        axis=1,
+    ).reshape(-1, 3, 2)
 
-    faces = []
-    param_tris = []
-    param_cells = []
-    pole = []
-    for j in range(n - 1):
-        for i in range(m):
-            faces.append((vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-            tri = np.array(
-                [[phi(i + 1), psi(j)], [phi(i + 1), psi(j + 1)], [phi(i), psi(j + 1)]]
-            )
-            param_tris.append(tri)
-            param_cells.append(tri)
-            pole.append(False)
+    # The fan closing ring n - 1 onto the pole, and its wedge rectangles.
+    i = np.arange(m)
+    last, pole = np.full(m, n - 1), np.full(m, n)
+    ring = 1 + (n - 1) * m
+    fan_faces = np.stack([np.zeros(m, dtype=int), ring + i, ring + (i + 1) % m], axis=1)
+    apex = np.stack([0.5 * (phi[i] + phi[i + 1]), psi[pole]], axis=-1)
+    fan_tris = np.stack([apex, corner(i, last), corner(i + 1, last)], axis=1)
+    fan_rects = np.stack(
+        [corner(i, last), corner(i + 1, last), corner(i + 1, pole), corner(i, pole)], axis=1
+    )
 
-            faces.append((vid(i + 1, j), vid(i, j + 1), vid(i, j)))
-            tri = np.array(
-                [[phi(i + 1), psi(j)], [phi(i), psi(j + 1)], [phi(i), psi(j)]]
-            )
-            param_tris.append(tri)
-            param_cells.append(tri)
-            pole.append(False)
-    last = psi(n - 1)
-    for i in range(m):
-        faces.append((0, vid(i, n - 1), vid(i + 1, n - 1)))
-        mid = 0.5 * (phi(i) + phi(i + 1))
-        param_tris.append(
-            np.array([[mid, math.pi], [phi(i), last], [phi(i + 1), last]])
-        )
-        param_cells.append(
-            np.array(
-                [
-                    [phi(i), last],
-                    [phi(i + 1), last],
-                    [phi(i + 1), math.pi],
-                    [phi(i), math.pi],
-                ]
-            )
-        )
-        pole.append(True)
-
-    mesh = TriMesh(vertices, np.array(faces, dtype=int))
+    faces = np.concatenate([band_faces, fan_faces])
+    mesh = TriMesh(vertices, faces)
 
     # sigma_min is certified over the meshed band up to the last vertex
     # ring; the chart is rank deficient at the pole itself, so the pole
@@ -349,7 +334,7 @@ def gen_hemisphere(spec: HemisphereSpec) -> HemisphereMesh:
         spec=spec,
         mesh=mesh,
         surface=surface,
-        param_tris=param_tris,
-        param_cells=param_cells,
-        pole_faces=np.array(pole),
+        param_tris=np.concatenate([band_tris, fan_tris]),
+        param_cells=[*band_tris, *fan_rects],
+        pole_faces=np.arange(len(faces)) >= len(band_faces),
     )

@@ -1,5 +1,7 @@
 """Cotangent Laplacian with per-face area ratios, and the energy trio:
-Dirichlet energy, mapped area, and conformal energy (their difference).
+Dirichlet energy, mapped area, and conformal energy (their difference),
+with the gradient of the last.  :class:`ConformalEnergy` is the one
+evaluation of the conformal energy and its gradient.
 
 Each undirected edge gets the weight (rho_a cot_a + rho_b cot_b) / 2 over
 its one or two adjacent faces, where cot is the cotangent of the angle
@@ -85,19 +87,13 @@ def assemble_laplacian(
     surface: ParamSurface | None = None,
     param_cells=None,
     quad_order: int = 3,
-    face_ratios: np.ndarray | None = None,
 ) -> CotanLaplacian:
     """Assemble the area-ratio weighted cotangent Laplacian.
 
-    Precomputed `face_ratios` override `rho_mode`.  Raises
-    NonFiniteWeight if any cotangent or ratio is not finite and
+    Raises NonFiniteWeight if any cotangent or ratio is not finite and
     propagates DegenerateTriangle from the metric computation.
     """
-    if face_ratios is None:
-        face_ratios = face_area_ratios(mesh, rho_mode, surface, param_cells, quad_order)
-    face_ratios = np.asarray(face_ratios, dtype=float)
-    if face_ratios.shape != (mesh.num_faces,):
-        raise DimensionMismatch("face_ratios must have one entry per face")
+    face_ratios = face_area_ratios(mesh, rho_mode, surface, param_cells, quad_order)
     if not np.isfinite(face_ratios).all():
         raise NonFiniteWeight("non-finite area ratio")
 
@@ -196,11 +192,7 @@ def mapped_area(mesh: TriMesh, f) -> float:
     Interior-edge terms cancel, so this always equals the shoelace area
     of the (oriented) boundary image polygon.
     """
-    f = as_vertex_map(f, mesh.num_vertices)
-    fi, fj, fk = (f[mesh.faces[:, c]] for c in range(3))
-    e1, e2 = fi - fj, fj - fk
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    return 0.5 * float(det.sum())
+    return float(face_image_areas(mesh, f).sum())
 
 
 def face_image_areas(mesh: TriMesh, f) -> np.ndarray:
@@ -209,6 +201,24 @@ def face_image_areas(mesh: TriMesh, f) -> np.ndarray:
     fi, fj, fk = (f[mesh.faces[:, c]] for c in range(3))
     e1, e2 = fi - fj, fj - fk
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+def _ring_sum_operator(mesh: TriMesh) -> sp.csr_matrix:
+    """Sparse operator P with (P f)_i = sum over faces (i, j, k) of f_j - f_k.
+
+    The area gradient is 0.5 * rot90(P f) per vertex, rot90 (x, y) = (y, -x).
+    """
+    faces = mesh.faces
+    ones = np.ones(len(faces))
+    rows, cols, vals = [], [], []
+    for c0, c1, c2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        rows += [faces[:, c0], faces[:, c0]]
+        cols += [faces[:, c1], faces[:, c2]]
+        vals += [ones, -ones]
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.num_vertices, mesh.num_vertices),
+    )
 
 
 @dataclass(frozen=True)
@@ -223,11 +233,40 @@ class EnergyBreakdown:
         return self.dirichlet - self.area
 
 
+class ConformalEnergy:
+    """The conformal energy E(f) = 0.5 <L f, f> - A(f) on one mesh.
+
+    Built once per mesh from the Laplacian L and the ring operator P;
+    the mapped area is A(f) = 0.25 <f, rot90(P f)> and the per-vertex
+    gradient is L f - 0.5 rot90(P f), whose area part cancels at
+    interior vertices.  Both methods take a finite (V, 2) float map and
+    do not check it; :func:`conformal_energy` and :func:`energy_gradient`
+    validate their input first.
+    """
+
+    def __init__(self, mesh: TriMesh, laplacian: CotanLaplacian):
+        if laplacian.size != mesh.num_vertices:
+            raise DimensionMismatch("laplacian size does not match the mesh")
+        self.matrix = laplacian.matrix
+        self.ring = _ring_sum_operator(mesh)
+
+    def __call__(self, f: np.ndarray) -> EnergyBreakdown:
+        pf = self.ring @ f
+        return EnergyBreakdown(
+            dirichlet=0.5 * float(np.sum(f * (self.matrix @ f))),
+            area=0.25 * float(np.sum(f[:, 0] * pf[:, 1] - f[:, 1] * pf[:, 0])),
+        )
+
+    def gradient(self, f: np.ndarray) -> np.ndarray:
+        pf = self.ring @ f
+        return self.matrix @ f - 0.5 * np.column_stack([pf[:, 1], -pf[:, 0]])
+
+
 def conformal_energy(mesh: TriMesh, laplacian: CotanLaplacian, f) -> EnergyBreakdown:
     """Energy breakdown of a planar vertex map."""
-    if laplacian.size != mesh.num_vertices:
-        raise DimensionMismatch("laplacian size does not match the mesh")
-    return EnergyBreakdown(
-        dirichlet=dirichlet_energy(laplacian, f),
-        area=mapped_area(mesh, f),
-    )
+    return ConformalEnergy(mesh, laplacian)(as_vertex_map(f, mesh.num_vertices))
+
+
+def energy_gradient(mesh: TriMesh, laplacian: CotanLaplacian, f) -> np.ndarray:
+    """Per-vertex gradient of the conformal energy (Dirichlet minus area)."""
+    return ConformalEnergy(mesh, laplacian).gradient(as_vertex_map(f, mesh.num_vertices))

@@ -285,11 +285,6 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
     )
 
 
-def face_metrics(mesh: TriMesh):
-    """List of TriangleGeom, one per face."""
-    return [triangle_metrics(*mesh.face_points(t)) for t in range(mesh.num_faces)]
-
-
 def load_mesh(path) -> TriMesh:
     """Read an OFF file.
 

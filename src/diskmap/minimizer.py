@@ -3,10 +3,11 @@
 Boundary vertices live on the unit circle and are parameterized by their
 angles, so feasibility is exact at every iterate; interior vertices carry
 free planar coordinates.  The driver is a backtracking line-search
-descent with optional limited-memory curvature pairs, optionally
-preconditioned by a factorization of the interior block of the Laplacian
-(the energy is quadratic in the interior, so that block is the exact
-interior Hessian).  Accepted iterates strictly lower the energy.
+descent with limited-memory curvature pairs, preconditioned by a
+factorization of the interior block of the Laplacian (the energy is
+quadratic in the interior, so that block is the exact interior Hessian).
+Accepted iterates strictly lower the energy, which is evaluated by
+:class:`~diskmap.laplacian.ConformalEnergy`.
 """
 
 from __future__ import annotations
@@ -15,80 +16,47 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, InvalidTopology, ZeroReference
-from .laplacian import CotanLaplacian, EnergyBreakdown, as_vertex_map, face_image_areas
+from .laplacian import (
+    ConformalEnergy,
+    CotanLaplacian,
+    EnergyBreakdown,
+    as_vertex_map,
+    face_image_areas,
+)
 from .mesh import TriMesh
 
 _BOUNDARY_SLACK = 0.1
 _ARMIJO = 1e-4
 _CURVATURE_FLOOR = 1e-12
-
-
-def _ring_sum_operator(mesh: TriMesh) -> sp.csr_matrix:
-    """Sparse operator P with (P f)_i = sum over faces (i, j, k) of f_j - f_k.
-
-    The area gradient is 0.5 * rot90(P f) per vertex, rot90 (x, y) = (y, -x).
-    """
-    faces = mesh.faces
-    ones = np.ones(len(faces))
-    rows, cols, vals = [], [], []
-    for c0, c1, c2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        rows += [faces[:, c0], faces[:, c0]]
-        cols += [faces[:, c1], faces[:, c2]]
-        vals += [ones, -ones]
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.num_vertices, mesh.num_vertices),
-    )
-
-
-def energy_gradient(mesh: TriMesh, laplacian: CotanLaplacian, f) -> np.ndarray:
-    """Per-vertex gradient of the conformal energy (Dirichlet minus area).
-
-    The Dirichlet part contributes L f; the area part at vertex i is half
-    the 90-degree rotation of the summed opposite edges f_k - f_j over
-    incident faces, which cancels at interior vertices.
-    """
-    f = as_vertex_map(f, mesh.num_vertices)
-    if laplacian.size != mesh.num_vertices:
-        raise DimensionMismatch("laplacian size does not match the mesh")
-    pf = _ring_sum_operator(mesh) @ f
-    area_grad = 0.5 * np.column_stack([pf[:, 1], -pf[:, 0]])
-    return laplacian.matrix @ f - area_grad
+# Curvature pairs kept by the two-loop recursion.
+_MEMORY = 10
+# The line search tries up to _MAX_BACKTRACKS steps per direction, the
+# first of length _INITIAL_STEP and each next one _BACKTRACK_FACTOR times
+# the last.
+_INITIAL_STEP = 1.0
+_BACKTRACK_FACTOR = 0.5
+_MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
 class MinimizerOptions:
-    """Knobs of the descent loop.
+    """Stopping rules of the descent loop.
 
     ``gradient_tolerance`` is the absolute norm of the reduced gradient
     (interior coordinates plus boundary tangential components) at which
-    the run reports convergence; it is the only convergence test.
-    ``memory`` limited-memory pairs are kept (0 disables them);
-    ``precondition`` applies the inverse interior Laplacian block as the
-    initial metric.  The line search tries ``max_backtracks`` steps per
-    direction, starting at ``initial_step`` and multiplying by
-    ``backtrack_factor``; a step is accepted only when its energy is
-    strictly below the current one and passes the Armijo test.  The run
-    stops at ``max_iterations`` accepted steps at the latest.
+    the run reports convergence; it is the only convergence test.  The
+    run stops at ``max_iterations`` accepted steps at the latest.
     """
 
     max_iterations: int = 2000
     gradient_tolerance: float = 1e-6
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
-    max_backtracks: int = 50
-    memory: int = 10
-    precondition: bool = True
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0 or self.initial_step <= 0:
-            raise ValueError("tolerances and steps must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
+        if self.gradient_tolerance <= 0:
+            raise ValueError("gradient_tolerance must be positive")
 
 
 @dataclass
@@ -147,56 +115,37 @@ class SolveReport:
 
 class _DiskProblem:
     """Reduced variables (interior coordinates, boundary angles) and the
-    energy/gradient evaluations on them."""
+    preconditioner on them."""
 
-    def __init__(self, mesh, laplacian, options):
-        self.mesh = mesh
-        self.lap = laplacian.matrix
-        self.ring = _ring_sum_operator(mesh)
+    def __init__(self, mesh, laplacian):
+        self.num_vertices = mesh.num_vertices
         self.boundary = mesh.boundary_vertices
         self.interior = mesh.interior_vertices()
         self.n_int = len(self.interior)
+        matrix = laplacian.matrix
         self.lu = None
-        self.theta_scale = None
-        if options.precondition:
-            block = laplacian.matrix[self.interior][:, self.interior].tocsc()
-            if block.shape[0]:
-                self.lu = spla.splu(block)
-            diag = np.asarray(
-                laplacian.matrix[self.boundary, self.boundary]
-            ).ravel()
-            self.theta_scale = np.maximum(diag, 1e-12)
-
-    def split(self, x):
-        return x[: 2 * self.n_int].reshape(-1, 2), x[2 * self.n_int :]
+        if self.n_int:
+            self.lu = spla.splu(matrix[self.interior][:, self.interior].tocsc())
+        diag = np.asarray(matrix[self.boundary, self.boundary]).ravel()
+        self.theta_scale = np.maximum(diag, 1e-12)
 
     def assemble(self, x):
-        coords, theta = self.split(x)
-        f = np.empty((self.mesh.num_vertices, 2))
-        f[self.interior] = coords
+        """The vertex map of reduced variables `x`, and its boundary angles."""
+        theta = x[2 * self.n_int :]
+        f = np.empty((self.num_vertices, 2))
+        f[self.interior] = x[: 2 * self.n_int].reshape(-1, 2)
         f[self.boundary, 0] = np.cos(theta)
         f[self.boundary, 1] = np.sin(theta)
         return f, theta
 
-    def energy(self, x):
-        f, theta = self.assemble(x)
-        lf = self.lap @ f
-        pf = self.ring @ f
-        area = 0.25 * float(np.sum(f[:, 0] * pf[:, 1] - f[:, 1] * pf[:, 0]))
-        dirichlet = 0.5 * float(np.sum(f * lf))
-        return dirichlet, area, f, theta, lf, pf
-
-    def gradient(self, f, theta, lf, pf):
-        area_grad = 0.5 * np.column_stack([pf[:, 1], -pf[:, 0]])
-        g = lf - area_grad
+    def reduce(self, g, theta):
+        """Per-vertex gradient `g` as a gradient in the reduced variables."""
         tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
         return np.concatenate(
             [g[self.interior].ravel(), np.sum(g[self.boundary] * tangent, axis=1)]
         )
 
     def precondition(self, v):
-        if self.lu is None:
-            return v
         out = np.empty_like(v)
         if self.n_int:
             out[: 2 * self.n_int] = self.lu.solve(
@@ -243,15 +192,16 @@ def minimize(
             "initial boundary vertices must lie within 0.1 of the unit circle"
         )
 
-    problem = _DiskProblem(mesh, laplacian, options)
+    conformal = ConformalEnergy(mesh, laplacian)
+    problem = _DiskProblem(mesh, laplacian)
     theta0 = np.arctan2(init[boundary, 1], init[boundary, 0])
     x = np.concatenate([init[problem.interior].ravel(), theta0])
 
-    dirichlet, area, f, theta, lf, pf = problem.energy(x)
-    energy = dirichlet - area
-    g = problem.gradient(f, theta, lf, pf)
+    f, theta = problem.assemble(x)
+    current = conformal(f)
+    g = problem.reduce(conformal.gradient(f), theta)
 
-    trace = [EnergyBreakdown(dirichlet, area)]
+    trace = [current]
     grad_norms = [float(np.linalg.norm(g))]
     folds = [int(np.sum(face_image_areas(mesh, f) < 0))]
 
@@ -264,20 +214,23 @@ def minimize(
 
     def backtrack(direction, slope):
         """The first trial step whose energy is strictly below the current
-        one and passes the Armijo test, or None."""
+        one and passes the Armijo test, or None.  Only the energy is
+        evaluated; the caller forms the gradient of the accepted step."""
         nonlocal evaluations
-        step = options.initial_step
-        for _ in range(options.max_backtracks):
+        energy = current.conformal
+        step = _INITIAL_STEP
+        for _ in range(_MAX_BACKTRACKS):
             x_new = x + step * direction
-            d_new, a_new, f_new, th_new, lf_new, pf_new = problem.energy(x_new)
+            f_new, theta_new = problem.assemble(x_new)
+            trial = conformal(f_new)
             evaluations += 1
-            e_new = d_new - a_new
+            e_new = trial.conformal
             # Once step * slope is below the rounding of the energy the
             # Armijo bound equals the energy; an unchanged energy is no
             # progress, so it takes the strict test to reject it.
             if e_new < energy and e_new <= energy + _ARMIJO * step * slope:
-                return x_new, d_new, a_new, f_new, th_new, lf_new, pf_new
-            step *= options.backtrack_factor
+                return x_new, f_new, theta_new, trial
+            step *= _BACKTRACK_FACTOR
         return None
 
     while iterations < options.max_iterations:
@@ -288,7 +241,7 @@ def minimize(
             break
 
         # Two-loop recursion over the stored pairs, seeded by the
-        # preconditioner (or the identity).
+        # preconditioner.
         q = g.copy()
         alphas = []
         for s, y in zip(reversed(s_hist), reversed(y_hist)):
@@ -296,8 +249,6 @@ def minimize(
             alphas.append(a)
             q -= a * y
         q = problem.precondition(q)
-        if s_hist and problem.lu is None:
-            q *= (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
         for (s, y), a in zip(zip(s_hist, y_hist), reversed(alphas)):
             q += (a - (y @ q) / (y @ s)) * s
         direction = -q
@@ -321,35 +272,30 @@ def minimize(
             )
             # When even the smallest trial step's predicted change is lost
             # in the rounding of the energy, no smaller step can lower it.
-            smallest = options.initial_step * options.backtrack_factor ** (
-                options.max_backtracks - 1
-            )
-            if energy + smallest * slope == energy:
+            smallest = _INITIAL_STEP * _BACKTRACK_FACTOR ** (_MAX_BACKTRACKS - 1)
+            if current.conformal + smallest * slope == current.conformal:
                 message = f"no step lowers the energy at double precision; {above}"
             else:
                 message = (
                     f"line search found no lower energy in "
-                    f"{options.max_backtracks} trial steps; {above}"
+                    f"{_MAX_BACKTRACKS} trial steps; {above}"
                 )
             break
 
-        x_new, d_new, a_new, f_new, th_new, lf_new, pf_new = result
-        g_new = problem.gradient(f_new, th_new, lf_new, pf_new)
-        if options.memory > 0:
-            s = x_new - x
-            y = g_new - g
-            if y @ s > _CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
-                s_hist.append(s)
-                y_hist.append(y)
-                if len(s_hist) > options.memory:
-                    s_hist.pop(0)
-                    y_hist.pop(0)
+        x_new, f, theta, current = result
+        g_new = problem.reduce(conformal.gradient(f), theta)
+        s = x_new - x
+        y = g_new - g
+        if y @ s > _CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
+            s_hist.append(s)
+            y_hist.append(y)
+            if len(s_hist) > _MEMORY:
+                s_hist.pop(0)
+                y_hist.pop(0)
 
         x, g = x_new, g_new
-        energy = d_new - a_new
-        f = f_new
         iterations += 1
-        trace.append(EnergyBreakdown(d_new, a_new))
+        trace.append(current)
         grad_norms.append(float(np.linalg.norm(g)))
         folds.append(int(np.sum(face_image_areas(mesh, f) < 0)))
 

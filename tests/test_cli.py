@@ -227,3 +227,22 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 3\n")
         assert run(["--config", str(cfg), "gen", "--n", "4", "--m", "8", "--out", str(tmp_path / "x.off")]) == 2
+
+    @pytest.mark.parametrize(
+        "key", ["memory", "initial_step", "backtrack_factor", "no_precondition"]
+    )
+    def test_removed_minimizer_key_rejected(self, tmp_path, key):
+        # the minimizer's line-search and memory settings are fixed
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 5\n")
+        assert run(["--config", str(cfg), "solve", "--n", "8", "--r", "0.9166667"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--memory", "5"], ["--initial-step", "1"], ["--backtrack-factor", "0.5"], ["--no-precondition"]],
+)
+def test_removed_minimizer_flag_exit_2(flag):
+    with pytest.raises(SystemExit) as excinfo:
+        run(["solve", "--n", "8", "--r", "0.9166667", *flag])
+    assert excinfo.value.code == 2

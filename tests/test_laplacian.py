@@ -270,6 +270,24 @@ class TestConformalEnergy:
         assert breakdown.conformal == pytest.approx(0.0, abs=1e-10)
         assert breakdown.conformal == breakdown.dirichlet - breakdown.area
 
+    def test_parts_equal_the_separate_energies(self, hemi_small):
+        # the ring-operator area is the per-face mapped area up to rounding
+        mesh = hemi_small.mesh
+        lap = assemble_laplacian(mesh)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            f = rng.normal(size=(mesh.num_vertices, 2))
+            breakdown = conformal_energy(mesh, lap, f)
+            assert breakdown.dirichlet == dirichlet_energy(lap, f)
+            assert breakdown.area == pytest.approx(mapped_area(mesh, f), rel=1e-12, abs=1e-13)
+
+    def test_dimension_mismatch(self, square_mesh, hemi_small):
+        lap = assemble_laplacian(hemi_small.mesh)
+        with pytest.raises(DimensionMismatch):
+            conformal_energy(square_mesh, lap, square_mesh.vertices)
+        with pytest.raises(DimensionMismatch):
+            conformal_energy(square_mesh, assemble_laplacian(square_mesh), np.zeros((3, 2)))
+
     def test_nonnegative_on_planar_meshes(self):
         mesh = planar_disk_mesh(6, 9)
         lap = assemble_laplacian(mesh)

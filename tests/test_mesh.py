@@ -17,7 +17,6 @@ from diskmap import (
     stereographic_project,
     triangle_metrics,
 )
-from diskmap.mesh import face_metrics
 
 from conftest import annulus_mesh, random_triangle
 
@@ -200,7 +199,51 @@ class TestTriMesh:
             TriMesh(verts, [[0, 1, 2], [0, 3, 2]])
 
 
+def loop_built_hemisphere(n, m):
+    """The structured hemisphere built one vertex and one face at a time:
+    vertices, faces, parameter triangles, parameter cells, pole flags."""
+    phi = lambda i: 2.0 * math.pi * i / m  # noqa: E731
+    psi = lambda j: 0.5 * math.pi + 0.5 * math.pi * j / n  # noqa: E731
+    vid = lambda i, j: 1 + j * m + (i % m)  # noqa: E731
+    vertices = [[0.0, 0.0, -1.0]]
+    for j in range(n):
+        for i in range(m):
+            s = math.sin(psi(j))
+            vertices.append([math.cos(phi(i)) * s, math.sin(phi(i)) * s, math.cos(psi(j))])
+    faces, tris, cells, pole = [], [], [], []
+    for j in range(n - 1):
+        for i in range(m):
+            a, b = (phi(i + 1), psi(j)), (phi(i + 1), psi(j + 1))
+            c, d = (phi(i), psi(j + 1)), (phi(i), psi(j))
+            faces += [(vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)),
+                      (vid(i + 1, j), vid(i, j + 1), vid(i, j))]
+            tris += [[a, b, c], [a, c, d]]
+            cells += [[a, b, c], [a, c, d]]
+            pole += [False, False]
+    last = psi(n - 1)
+    for i in range(m):
+        faces.append((0, vid(i, n - 1), vid(i + 1, n - 1)))
+        tris.append([(0.5 * (phi(i) + phi(i + 1)), math.pi), (phi(i), last), (phi(i + 1), last)])
+        cells.append([(phi(i), last), (phi(i + 1), last), (phi(i + 1), math.pi), (phi(i), math.pi)])
+        pole.append(True)
+    return np.array(vertices), np.array(faces), np.array(tris), cells, np.array(pole)
+
+
 class TestHemisphere:
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 7), (8, 6), (5, 3), (16, 13)])
+    def test_equals_loop_built_mesh(self, n, m):
+        vertices, faces, tris, cells, pole = loop_built_hemisphere(n, m)
+        hemi = gen_hemisphere(HemisphereSpec.from_counts(n, m))
+        # numpy's and math's sin/cos may differ in the last bit
+        np.testing.assert_allclose(hemi.mesh.vertices, vertices, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(hemi.mesh.faces, faces)
+        np.testing.assert_array_equal(hemi.param_tris, tris)
+        assert hemi.param_tris.shape == (hemi.mesh.num_faces, 3, 2)
+        assert len(hemi.param_cells) == len(cells)
+        for cell, expected in zip(hemi.param_cells, cells):
+            np.testing.assert_array_equal(cell, expected)
+        np.testing.assert_array_equal(hemi.pole_faces, pole)
+
     def test_paper_resolution_counts(self, hemi_paper):
         assert hemi_paper.mesh.num_vertices == 217
         assert hemi_paper.mesh.num_faces == 27 * (2 * 8 - 1)
@@ -252,8 +295,7 @@ class TestHemisphere:
         areas = []
         for n in (4, 8, 16):
             hemi = gen_hemisphere(HemisphereSpec.from_counts(n, 2 * n))
-            total = sum(g.area for g in face_metrics(hemi.mesh))
-            areas.append(total)
+            areas.append(triangle_metrics(*hemi.mesh.face_points()).area.sum())
         target = 2 * math.pi
         assert areas[0] < areas[1] < areas[2] < target
         assert target - areas[2] < target - areas[0]

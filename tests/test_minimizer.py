@@ -17,6 +17,7 @@ from diskmap import (
     face_nearest,
     gen_hemisphere,
     minimize,
+    minimizer,
     normalize_map,
     relative_error,
 )
@@ -129,20 +130,26 @@ class TestMinimize:
         assert report.iterations == 0
         assert len(report.energy_trace) == 1
 
-    def test_plain_descent_matches_preconditioned(self):
-        # same minimum through the un-preconditioned path
-        hemi, lap = hemi_with_laplacian(6)
-        reference = hemi.reference_map()
-        fast = minimize(hemi.mesh, lap, reference)
-        slow = minimize(
-            hemi.mesh,
-            lap,
-            reference,
-            MinimizerOptions(precondition=False, max_iterations=4000),
-        )
-        assert fast.energy_trace[-1].conformal == pytest.approx(
-            slow.energy_trace[-1].conformal, abs=1e-6
-        )
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_reported_energy_is_the_energy_of_the_map(self, n):
+        # one evaluation of the energy: conformal_energy of the final map
+        # is the last traced breakdown, bit for bit
+        hemi, lap = hemi_with_laplacian(n)
+        report = minimize(hemi.mesh, lap, hemi.reference_map())
+        assert conformal_energy(hemi.mesh, lap, report.final_map) == report.energy_trace[-1]
+
+    def test_disk_without_interior_vertices(self):
+        # a hexagon stretched twofold along x, fanned from vertex 0: only
+        # boundary angles are free, so the preconditioner is the diagonal
+        angles = np.arange(6) * math.pi / 3
+        vertices = np.column_stack([2 * np.cos(angles), np.sin(angles)])
+        mesh = TriMesh(vertices, [[0, k, k + 1] for k in range(1, 5)])
+        assert len(mesh.interior_vertices()) == 0
+        lap = assemble_laplacian(mesh)
+        init = vertices / np.linalg.norm(vertices, axis=1, keepdims=True)
+        report = minimize(mesh, lap, init)
+        assert report.converged
+        assert report.energy_trace[-1].conformal == pytest.approx(0.44752845463440805, abs=1e-13)
 
     def test_deterministic(self):
         hemi, lap = hemi_with_laplacian(8)
@@ -188,8 +195,7 @@ class TestStop:
     def test_energy_evaluations_counted(self, thin_solve):
         # each accepted step costs at least one evaluation, and the last
         # iterate exhausts a full line search
-        options = MinimizerOptions()
-        assert thin_solve.energy_evaluations >= thin_solve.iterations + options.max_backtracks
+        assert thin_solve.energy_evaluations >= thin_solve.iterations + minimizer._MAX_BACKTRACKS
 
     def test_converged_map_with_unreachable_tolerance(self):
         hemi, lap = hemi_with_laplacian(8)
@@ -204,16 +210,13 @@ class TestStop:
         energies = [e.conformal for e in report.energy_trace]
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
-    def test_short_line_search_is_not_a_stall(self):
+    def test_short_line_search_is_not_a_stall(self, monkeypatch):
         # steps of 1e6 and 5e5 raise the energy: the search ran out of
         # trial steps long before the rounding of the energy
+        monkeypatch.setattr(minimizer, "_INITIAL_STEP", 1e6)
+        monkeypatch.setattr(minimizer, "_MAX_BACKTRACKS", 2)
         hemi, lap = hemi_with_laplacian(8)
-        report = minimize(
-            hemi.mesh,
-            lap,
-            hemi.reference_map(),
-            MinimizerOptions(initial_step=1e6, max_backtracks=2),
-        )
+        report = minimize(hemi.mesh, lap, hemi.reference_map())
         assert not report.converged
         assert report.message.startswith("line search found no lower energy in 2 trial steps")
         assert report.iterations == 0
