@@ -273,9 +273,22 @@ def build_parser():
     return parser
 
 
-def _apply_config(args):
+def _flag_actions(parser, command):
+    """The value flags' argparse actions by dest: the global ones and
+    `command`'s (not --help or --version)."""
+    actions = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            actions.update(_flag_actions(action.choices[command], None))
+        elif action.option_strings and action.default is not argparse.SUPPRESS:
+            actions[action.dest] = action
+    return actions
+
+
+def _apply_config(args, parser):
     """Overlay config-file values; the file wins over flags so a run
-    manifest reproduces exactly."""
+    manifest reproduces exactly.  Each value is converted and checked
+    like the flag it sets."""
     path = args.config
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -287,19 +300,18 @@ def _apply_config(args):
                 raise ValueError(f"{path}:{no}: expected 'key = value'")
             key, value = (part.strip() for part in body.split("=", 1))
             values[key.replace("-", "_")] = value
-    known = vars(args)
+    actions = _flag_actions(parser, args.command)
     for key, raw in values.items():
-        if key not in known:
+        action = actions.get(key)
+        if action is None:
             raise ValueError(f"{path}: unknown config key {key!r}")
-        current = known[key]
-        if isinstance(current, int):
-            known[key] = int(raw)
-        elif isinstance(current, float):
-            known[key] = float(raw)
-        elif isinstance(current, list):
-            known[key] = [int(x) for x in raw.split(",")]
-        else:
-            known[key] = raw
+        try:
+            value = raw if action.type is None else action.type(raw)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError(f"{path}: invalid value {raw!r} for {key}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{path}: {key} must be one of {', '.join(action.choices)}")
+        setattr(args, key, value)
     return args
 
 
@@ -309,7 +321,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            args = _apply_config(args)
+            args = _apply_config(args, parser)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -24,30 +24,17 @@ from .surface import ParamSurface, patch_area_quadrature
 
 @dataclass(frozen=True)
 class CotanLaplacian:
-    """Sparse symmetric Laplacian and its per-edge assembly record.
+    """Sparse symmetric Laplacian and its edge weights.
 
     ``matrix`` is n x n CSR with row sums zero (off-diagonal -w, diagonal
-    the row's weight sum).  Parallel arrays describe each undirected
-    edge: endpoints, assembled weight, boundary flag, and the one or two
-    (area ratio, cotangent) contributions (NaN padding on the second slot
-    for boundary edges).  ``face_ratio`` stores rho per face.
+    the row's weight sum).  ``edges`` are the mesh's undirected edges and
+    ``weights`` their assembled weights, in the same order.
     """
 
     size: int
     matrix: sp.csr_matrix
     edges: np.ndarray
     weights: np.ndarray
-    edge_is_boundary: np.ndarray
-    edge_ratios: np.ndarray
-    edge_cotans: np.ndarray
-    face_ratio: np.ndarray
-
-    def write_triplets(self, path):
-        """Dump nonzeros as 'i j value' text for external inspection."""
-        coo = self.matrix.tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v:.17g}\n")
 
 
 def face_area_ratios(
@@ -102,19 +89,11 @@ def assemble_laplacian(
     if bad.any():
         raise NonFiniteWeight(f"non-finite cotangent in face {int(np.argmax(bad))}")
 
-    # The angle at a corner is opposite the edge mesh.face_edges lists for
-    # it.  An edge's first face fills slot 0 of its record, a second face
-    # slot 1; boundary edges keep NaN in slot 1.
-    half = mesh.face_edges.ravel()
-    slot = np.ones(len(half), dtype=int)
-    slot[np.unique(half, return_index=True)[1]] = 0
-    ratios = np.full((len(mesh.edges), 2), np.nan)
-    cotans = np.full((len(mesh.edges), 2), np.nan)
-    ratios[half, slot] = np.repeat(face_ratios, 3)
-    cotans[half, slot] = cots.ravel()
-    # Only that padding is NaN: cotangents and ratios were checked.
-    weights = 0.5 * np.nansum(ratios * cotans, axis=1)
+    # The angle at a corner is opposite the edge mesh.face_edges lists
+    # for it; an edge sums the products of its one or two faces.
     edges = mesh.edges
+    products = np.repeat(face_ratios, 3) * cots.ravel()
+    weights = 0.5 * np.bincount(mesh.face_edges.ravel(), products, minlength=len(edges))
 
     n = mesh.num_vertices
     rows = np.concatenate([edges[:, 0], edges[:, 1], edges[:, 0], edges[:, 1]])
@@ -122,16 +101,7 @@ def assemble_laplacian(
     vals = np.concatenate([-weights, -weights, weights, weights])
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    return CotanLaplacian(
-        size=n,
-        matrix=matrix,
-        edges=edges,
-        weights=weights,
-        edge_is_boundary=np.isnan(cotans[:, 1]),
-        edge_ratios=ratios,
-        edge_cotans=cotans,
-        face_ratio=face_ratios,
-    )
+    return CotanLaplacian(size=n, matrix=matrix, edges=edges, weights=weights)
 
 
 def as_vertex_map(values, size: int) -> np.ndarray:
@@ -204,20 +174,18 @@ def face_image_areas(mesh: TriMesh, f) -> np.ndarray:
 
 
 def _ring_sum_operator(mesh: TriMesh) -> sp.csr_matrix:
-    """Sparse operator P with (P f)_i = sum over faces (i, j, k) of f_j - f_k.
+    """Sparse P: +1 at (i, j), -1 at (j, i) per boundary half-edge i -> j.
 
-    The area gradient is 0.5 * rot90(P f) per vertex, rot90 (x, y) = (y, -x).
+    (P f)_i = f_next - f_prev along the boundary, which is the sum of
+    f_j - f_k over the faces (i, j, k) at i: interior edges cancel.  So
+    A(f) = 0.25 <f, rot90(P f)> is the shoelace area of the boundary image
+    and the area gradient is 0.5 * rot90(P f), rot90 (x, y) = (y, -x).
     """
-    faces = mesh.faces
-    ones = np.ones(len(faces))
-    rows, cols, vals = [], [], []
-    for c0, c1, c2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        rows += [faces[:, c0], faces[:, c0]]
-        cols += [faces[:, c1], faces[:, c2]]
-        vals += [ones, -ones]
+    tails, heads = mesh.boundary_halfedges.T
+    n = mesh.num_vertices
     return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.num_vertices, mesh.num_vertices),
+        (np.repeat([1.0, -1.0], len(tails)), (np.r_[tails, heads], np.r_[heads, tails])),
+        shape=(n, n),
     )
 
 
@@ -236,12 +204,13 @@ class EnergyBreakdown:
 class ConformalEnergy:
     """The conformal energy E(f) = 0.5 <L f, f> - A(f) on one mesh.
 
-    Built once per mesh from the Laplacian L and the ring operator P;
-    the mapped area is A(f) = 0.25 <f, rot90(P f)> and the per-vertex
-    gradient is L f - 0.5 rot90(P f), whose area part cancels at
-    interior vertices.  Both methods take a finite (V, 2) float map and
-    do not check it; :func:`conformal_energy` and :func:`energy_gradient`
-    validate their input first.
+    Built once per mesh from the Laplacian L and the boundary operator P
+    of :func:`_ring_sum_operator`; the mapped area is
+    A(f) = 0.25 <f, rot90(P f)> and the per-vertex gradient is
+    L f - 0.5 rot90(P f), whose area part is zero at interior vertices.
+    Both methods take a finite (V, 2) float map and do not check it;
+    :func:`conformal_energy` and :func:`energy_gradient` validate their
+    input first.
     """
 
     def __init__(self, mesh: TriMesh, laplacian: CotanLaplacian):

@@ -43,6 +43,10 @@ class TriMesh:
     boundary_edges : ndarray, shape (B, 2)
         Undirected boundary edges as sorted index pairs (edges with
         exactly one adjacent face).
+    boundary_halfedges : ndarray, shape (B, 2)
+        The same edges directed i -> j as their one face traverses them,
+        listed corner-major: the faces' (i, j) edges, then (j, k), then
+        (k, i).
     boundary_vertices : ndarray
         Sorted indices of vertices on the boundary.
     """
@@ -108,7 +112,11 @@ class TriMesh:
         self.face_edges.setflags(write=False)
         self.boundary_edges = edges[counts == 1].reshape(-1, 2)
         self.boundary_vertices = np.unique(self.boundary_edges)
-        self._boundary_set = {tuple(e) for e in self.boundary_edges.tolist()}
+        # The edge opposite corner k is (i, j), opposite i is (j, k).
+        corner_major = np.arange(len(tails)).reshape(-1, 3)[:, [2, 0, 1]].T.ravel()
+        on = corner_major[counts[inverse[corner_major]] == 1]
+        self.boundary_halfedges = np.column_stack([tails[on], heads[on]])
+        self.boundary_halfedges.setflags(write=False)
 
     def _check_planar_orientation(self):
         p = self.vertices[self.faces]
@@ -129,9 +137,6 @@ class TriMesh:
     def ambient_dim(self):
         return self.vertices.shape[1]
 
-    def is_boundary_edge(self, i, j):
-        return (min(i, j), max(i, j)) in self._boundary_set
-
     def interior_vertices(self):
         """Indices of vertices not on the boundary."""
         mask = np.ones(self.num_vertices, dtype=bool)
@@ -140,14 +145,8 @@ class TriMesh:
 
     def boundary_loops(self):
         """Boundary cycles as vertex index lists, following face orientation."""
-        # Directed edges i -> j, then j -> k, then k -> i of every face.
-        tails, heads = self.faces.T.ravel(), self.faces[:, [1, 2, 0]].T.ravel()
-        n = self.num_vertices
-        keys = np.minimum(tails, heads) * n + np.maximum(tails, heads)
-        on_boundary = np.isin(keys, self.boundary_edges @ np.array([n, 1]))
-        succ = dict(zip(tails[on_boundary].tolist(), heads[on_boundary].tolist()))
+        remaining = dict(self.boundary_halfedges.tolist())
         loops = []
-        remaining = dict(succ)
         while remaining:
             start = min(remaining)
             loop = [start]

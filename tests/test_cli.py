@@ -228,6 +228,31 @@ class TestConfigFile:
         cfg.write_text("bogus = 3\n")
         assert run(["--config", str(cfg), "gen", "--n", "4", "--m", "8", "--out", str(tmp_path / "x.off")]) == 2
 
+    def test_float_value_for_flag_without_default(self, tmp_path):
+        # --r has no default: the value is converted by the flag's type
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 0.9166667\n")
+        code = run(["--config", str(cfg), "gen", "--n", "8", "--out", str(tmp_path / "h.off")])
+        assert code == 0
+        assert load_mesh(tmp_path / "h.off").num_vertices == 6 * 8 + 1
+
+    def test_source_face_value_equals_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("source_face = 3\n")
+        solve = ["solve", "--n", "8", "--r", "0.9166667"]
+        assert run(["--config", str(cfg), "--out-dir", str(tmp_path / "cfg"), *solve]) == 0
+        assert run(["--out-dir", str(tmp_path / "flag"), *solve, "--source-face", "3"]) == 0
+        assert run(["--out-dir", str(tmp_path / "default"), *solve]) == 0
+        maps = {name: (tmp_path / name / "map.csv").read_bytes() for name in ("cfg", "flag", "default")}
+        assert maps["cfg"] == maps["flag"] != maps["default"]
+
+    @pytest.mark.parametrize("line", ["n = eight", "rho = foo"])
+    def test_invalid_value_exit_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["--config", str(cfg), "solve", "--n", "8", "--r", "0.9166667"]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key", ["memory", "initial_step", "backtrack_factor", "no_precondition"]
     )

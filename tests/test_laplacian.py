@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from diskmap import (
+    ConformalEnergy,
     DimensionMismatch,
     HemisphereSpec,
     TriMesh,
@@ -22,25 +24,23 @@ from diskmap import (
     triangle_metrics,
 )
 
-from conftest import planar_disk_mesh, random_triangle
+from conftest import annulus_mesh, planar_disk_mesh, random_triangle
 
 
-def edge_weight(lap, a, b):
-    key = (min(a, b), max(a, b))
-    for e, (i, j) in enumerate(lap.edges):
-        if (i, j) == key:
-            return lap.weights[e], lap.edge_is_boundary[e]
-    raise KeyError(key)
+def edge_weight(mesh, lap, a, b):
+    """Weight of edge {a, b} and whether the edge is on the boundary."""
+    key = [min(a, b), max(a, b)]
+    return lap.weights[lap.edges.tolist().index(key)], key in mesh.boundary_edges.tolist()
 
 
 class TestAssembly:
     def test_square_tiling_weights(self, square_mesh):
         lap = assemble_laplacian(square_mesh, rho_mode="unit")
-        w, boundary = edge_weight(lap, 0, 2)  # diagonal: two right angles
+        w, boundary = edge_weight(square_mesh, lap, 0, 2)  # diagonal: two right angles
         assert w == pytest.approx(0.0, abs=1e-15)
         assert not boundary
         for a, b in ((0, 1), (1, 2), (2, 3), (3, 0)):
-            w, boundary = edge_weight(lap, a, b)
+            w, boundary = edge_weight(square_mesh, lap, a, b)
             assert w == pytest.approx(0.5, rel=1e-14)
             assert boundary
 
@@ -52,7 +52,7 @@ class TestAssembly:
         )
         lap = assemble_laplacian(mesh)
         for a, b in ((0, 1), (1, 2), (2, 0)):
-            w, boundary = edge_weight(lap, a, b)
+            w, boundary = edge_weight(mesh, lap, a, b)
             assert boundary
             assert w == pytest.approx(1 / (2 * math.sqrt(3)), rel=1e-14)
 
@@ -330,11 +330,109 @@ class TestConformalEnergy:
         # weights keep it nonnegative
         assert 0 <= values[1] < values[0] < 0.5
 
-    def test_triplet_export(self, square_mesh, tmp_path):
-        lap = assemble_laplacian(square_mesh)
-        path = tmp_path / "lap.txt"
-        lap.write_triplets(path)
-        rows = [line.split() for line in path.read_text().strip().splitlines()]
-        assert len(rows) == lap.matrix.nnz
-        i, j, v = rows[0]
-        assert float(v) == lap.matrix[int(i), int(j)]
+
+def slot_record_laplacian(mesh, face_ratios):
+    """Oracle L: one (ratio, cotangent) slot per adjacent face of each edge,
+    NaN padding on boundary edges, weights by nansum."""
+    cots = triangle_metrics(*mesh.face_points()).cotangents
+    half = mesh.face_edges.ravel()
+    slot = np.ones(len(half), dtype=int)
+    slot[np.unique(half, return_index=True)[1]] = 0
+    ratios = np.full((len(mesh.edges), 2), np.nan)
+    cotans = np.full((len(mesh.edges), 2), np.nan)
+    ratios[half, slot] = np.repeat(face_ratios, 3)
+    cotans[half, slot] = cots.ravel()
+    weights = 0.5 * np.nansum(ratios * cotans, axis=1)
+    i, j = mesh.edges.T
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([j, i, i, j])
+    vals = np.concatenate([-weights, -weights, weights, weights])
+    n = mesh.num_vertices
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n)), weights
+
+
+def face_corner_ring(mesh):
+    """Oracle P: (P f)_i sums f_j - f_k over every face (i, j, k), 6F entries."""
+    faces = mesh.faces
+    ones = np.ones(len(faces))
+    rows, cols, vals = [], [], []
+    for c0, c1, c2 in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        rows += [faces[:, c0], faces[:, c0]]
+        cols += [faces[:, c1], faces[:, c2]]
+        vals += [ones, -ones]
+    n = mesh.num_vertices
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+def _hemisphere_case(spec, rho):
+    hemi = gen_hemisphere(spec)
+    kwargs = {} if rho == "unit" else {"surface": hemi.surface, "param_cells": hemi.param_cells}
+    return hemi.mesh, rho, kwargs
+
+
+def _hexagon_fan():
+    # a stretched hexagon fanned from vertex 0: no interior vertex
+    angles = np.arange(6) * math.pi / 3
+    vertices = np.column_stack([2 * np.cos(angles), np.sin(angles)])
+    return TriMesh(vertices, [[0, k, k + 1] for k in range(1, 5)])
+
+
+OPERATOR_CASES = {
+    "hemi32-unit": lambda: _hemisphere_case(HemisphereSpec.from_exponent(32, 11 / 12), "unit"),
+    "hemi32-quadrature": lambda: _hemisphere_case(
+        HemisphereSpec.from_exponent(32, 11 / 12), "quadrature"
+    ),
+    "hemi32-analytic": lambda: _hemisphere_case(
+        HemisphereSpec.from_exponent(32, 11 / 12), "analytic"
+    ),
+    "hemi256x4": lambda: _hemisphere_case(HemisphereSpec.from_counts(256, 4), "quadrature"),
+    "annulus": lambda: (annulus_mesh(), "unit", {}),
+    "square": lambda: (
+        TriMesh([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2], [0, 2, 3]]),
+        "unit",
+        {},
+    ),
+    "hexagon-fan": lambda: (_hexagon_fan(), "unit", {}),
+}
+
+
+class TestOperatorOracles:
+    """The edge-table operators equal the per-edge-record and per-corner
+    constructions bit for bit, and so do the energies built on them."""
+
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+    def test_operators_and_energy_match(self, case):
+        mesh, rho, kwargs = OPERATOR_CASES[case]()
+        lap = assemble_laplacian(mesh, rho_mode=rho, **kwargs)
+        matrix, weights = slot_record_laplacian(mesh, face_area_ratios(mesh, rho, **kwargs))
+        assert np.array_equal(lap.weights, weights)
+        assert np.array_equal(lap.matrix.data, matrix.data)
+        assert np.array_equal(lap.matrix.indices, matrix.indices)
+        assert np.array_equal(lap.matrix.indptr, matrix.indptr)
+
+        energy = ConformalEnergy(mesh, lap)
+        ring = face_corner_ring(mesh)
+        assert energy.ring.nnz == 2 * len(mesh.boundary_edges)
+        rng = np.random.default_rng(7)
+        for f in (mesh.vertices[:, :2].copy(), rng.normal(size=(mesh.num_vertices, 2))):
+            pf = ring @ f
+            assert np.array_equal(energy.ring @ f, pf)
+            parts = energy(f)
+            assert parts.dirichlet == 0.5 * float(np.sum(f * (matrix @ f)))
+            assert parts.area == 0.25 * float(np.sum(f[:, 0] * pf[:, 1] - f[:, 1] * pf[:, 0]))
+            gradient = matrix @ f - 0.5 * np.column_stack([pf[:, 1], -pf[:, 0]])
+            assert np.array_equal(energy.gradient(f), gradient)
+
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+    def test_boundary_halfedges_follow_the_faces(self, case):
+        mesh = OPERATOR_CASES[case]()[0]
+        # every directed face edge, corner-major: (i, j) of each face, then
+        # (j, k), then (k, i); the boundary ones, each edge once
+        faces = mesh.faces
+        directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+        boundary = {tuple(e) for e in mesh.boundary_edges.tolist()}
+        expected = [e for e in directed.tolist() if (min(e), max(e)) in boundary]
+        assert mesh.boundary_halfedges.tolist() == expected
+        assert len(expected) == len(boundary)

@@ -120,8 +120,8 @@ class TestTriMesh:
     def test_square_boundary(self, square_mesh):
         assert square_mesh.num_vertices == 4
         assert len(square_mesh.boundary_edges) == 4
-        assert not square_mesh.is_boundary_edge(0, 2)
-        assert square_mesh.is_boundary_edge(0, 1)
+        assert [0, 2] not in square_mesh.boundary_edges.tolist()
+        assert [0, 1] in square_mesh.boundary_edges.tolist()
         assert square_mesh.boundary_loops() == [[0, 1, 2, 3]]
         assert len(square_mesh.interior_vertices()) == 0
 
@@ -133,10 +133,11 @@ class TestTriMesh:
             else annulus_mesh()
         )
         # reference: successor of each boundary vertex, faces read edge by edge
+        boundary = {tuple(e) for e in mesh.boundary_edges.tolist()}
         succ = {}
         for a, b in ((0, 1), (1, 2), (2, 0)):
             for i, j in zip(mesh.faces[:, a].tolist(), mesh.faces[:, b].tolist()):
-                if mesh.is_boundary_edge(i, j):
+                if (min(i, j), max(i, j)) in boundary:
                     succ[i] = j
         loops = mesh.boundary_loops()
         assert sorted(v for loop in loops for v in loop) == sorted(succ)
