@@ -52,8 +52,8 @@ def _minimizer_options(args):
 def _write_map_csv(path, values):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("vertex,x,y\n")
-        for i, (x, y) in enumerate(values):
-            fh.write(f"{i},{x:.17g},{y:.17g}\n")
+        rows = enumerate(np.asarray(values, dtype=float).tolist())
+        fh.writelines("%d,%.17g,%.17g\n" % (i, x, y) for i, (x, y) in rows)
 
 
 def cmd_gen(args):

@@ -168,9 +168,9 @@ def mapped_area(mesh: TriMesh, f) -> float:
 def face_image_areas(mesh: TriMesh, f) -> np.ndarray:
     """Per-face signed image areas (negative entries are folds)."""
     f = as_vertex_map(f, mesh.num_vertices)
-    fi, fj, fk = (f[mesh.faces[:, c]] for c in range(3))
-    e1, e2 = fi - fj, fj - fk
-    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    xi, xj, xk = np.take(f[:, 0], mesh.faces).T
+    yi, yj, yk = np.take(f[:, 1], mesh.faces).T
+    return 0.5 * ((xi - xj) * (yj - yk) - (yi - yj) * (xj - xk))
 
 
 def _ring_sum_operator(mesh: TriMesh) -> sp.csr_matrix:

@@ -72,10 +72,10 @@ class SolveReport:
     ``message`` gives one of four stop reasons: "gradient tolerance
     reached" (the only one with ``converged`` True); "iteration cap
     reached"; "no step lowers the energy at double precision", when every
-    trial step, down to one whose predicted decrease is below the
-    rounding of the energy, leaves it unchanged or higher; and "line
-    search found no lower energy", when the trial steps ran out before
-    that point.  The last two also give the gradient norm.
+    trial step leaves the energy unchanged or higher, down to one whose
+    predicted decrease is below the rounding of the energy, where the
+    search ends; and "line search found no lower energy", when the trial
+    steps ran out before that point.  The last two give the gradient norm.
     """
 
     final_map: np.ndarray
@@ -214,24 +214,27 @@ def minimize(
 
     def backtrack(direction, slope):
         """The first trial step whose energy is strictly below the current
-        one and passes the Armijo test, or None.  Only the energy is
-        evaluated; the caller forms the gradient of the accepted step."""
+        one and passes the Armijo test, or None; and whether the search
+        ended at the rounding floor rather than by running out of trial
+        steps.  Only the energy is evaluated; the caller forms the gradient
+        of the accepted step."""
         nonlocal evaluations
         energy = current.conformal
         step = _INITIAL_STEP
         for _ in range(_MAX_BACKTRACKS):
+            # From here on the predicted decrease is lost in the rounding.
+            if energy + step * slope == energy:
+                return None, True
             x_new = x + step * direction
             f_new, theta_new = problem.assemble(x_new)
             trial = conformal(f_new)
             evaluations += 1
             e_new = trial.conformal
-            # Once step * slope is below the rounding of the energy the
-            # Armijo bound equals the energy; an unchanged energy is no
-            # progress, so it takes the strict test to reject it.
+            # The Armijo bound can round to the energy; `<` rejects no change.
             if e_new < energy and e_new <= energy + _ARMIJO * step * slope:
-                return x_new, f_new, theta_new, trial
+                return (x_new, f_new, theta_new, trial), False
             step *= _BACKTRACK_FACTOR
-        return None
+        return None, False
 
     while iterations < options.max_iterations:
         grad_norm = np.linalg.norm(g)
@@ -258,22 +261,19 @@ def minimize(
             direction = -problem.precondition(g)
             slope = float(g @ direction)
             s_hist, y_hist = [], []
-        result = backtrack(direction, slope)
+        result, at_floor = backtrack(direction, slope)
         if result is None and s_hist:
             # Curvature model rejected; retry with the plain direction.
             s_hist, y_hist = [], []
             direction = -problem.precondition(g)
             slope = float(g @ direction)
-            result = backtrack(direction, slope)
+            result, at_floor = backtrack(direction, slope)
         if result is None:
             above = (
                 f"the gradient norm {grad_norm:.3g} is still above the "
                 f"tolerance {options.gradient_tolerance:.3g}"
             )
-            # When even the smallest trial step's predicted change is lost
-            # in the rounding of the energy, no smaller step can lower it.
-            smallest = _INITIAL_STEP * _BACKTRACK_FACTOR ** (_MAX_BACKTRACKS - 1)
-            if current.conformal + smallest * slope == current.conformal:
+            if at_floor:
                 message = f"no step lowers the energy at double precision; {above}"
             else:
                 message = (

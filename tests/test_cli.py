@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from diskmap import HemisphereSpec, gen_hemisphere, load_mesh, save_mesh
-from diskmap.cli import main
+from diskmap.cli import _write_map_csv, main
 
 from conftest import annulus_mesh, planar_disk_mesh
 
@@ -52,6 +52,15 @@ class TestSolve:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["solve", "--mesh", str(tmp_path / "nope.off")]) == 2
+
+    def test_map_csv_bytes(self, tmp_path):
+        values = np.array([[-0.0, 5e-324], [1e300, 3.0]])
+        path = tmp_path / "map.csv"
+        _write_map_csv(path, values)
+        expected = "vertex,x,y\n" + "".join(
+            f"{i},{x:.17g},{y:.17g}\n" for i, (x, y) in enumerate(values)
+        )
+        assert path.read_bytes() == expected.encode()
 
     def test_stall_exit_1_with_reason(self, tmp_path, capsys):
         code = run(

@@ -424,6 +424,11 @@ class TestOperatorOracles:
             assert parts.area == 0.25 * float(np.sum(f[:, 0] * pf[:, 1] - f[:, 1] * pf[:, 0]))
             gradient = matrix @ f - 0.5 * np.column_stack([pf[:, 1], -pf[:, 0]])
             assert np.array_equal(energy.gradient(f), gradient)
+            # the three-row-gather formula
+            fi, fj, fk = (f[mesh.faces[:, c]] for c in range(3))
+            e1, e2 = fi - fj, fj - fk
+            areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+            assert np.array_equal(face_image_areas(mesh, f), areas)
 
     @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
     def test_boundary_halfedges_follow_the_faces(self, case):

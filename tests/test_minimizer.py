@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diskmap import (
+    ConformalEnergy,
     DimensionMismatch,
     HemisphereSpec,
     InvalidTopology,
@@ -173,17 +174,35 @@ STALL = "no step lowers the energy at double precision"
 
 
 @pytest.fixture(scope="module")
-def thin_solve():
-    """The r = 0.25, n = 256 hemisphere solved from its harmonic init."""
+def thin_run():
+    """The r = 0.25, n = 256 hemisphere solved from its harmonic init, and
+    every energy breakdown the solve evaluated, in order."""
     hemi, lap = hemi_with_laplacian(256, 0.25)
     source = face_nearest(hemi.mesh, np.array([0.0, 0.0, -1.0]))
-    return minimize(hemi.mesh, lap, disk_initial_guess(hemi.mesh, lap, source))
+    init = disk_initial_guess(hemi.mesh, lap, source)
+    evaluated = []
+    evaluate = ConformalEnergy.__call__
+
+    def counted(self, f):
+        evaluated.append(evaluate(self, f))
+        return evaluated[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ConformalEnergy, "__call__", counted)
+        report = minimize(hemi.mesh, lap, init)
+    return report, evaluated
+
+
+@pytest.fixture(scope="module")
+def thin_solve(thin_run):
+    return thin_run[0]
 
 
 class TestStop:
     def test_thin_hemisphere_stops_at_the_energy_floor(self, thin_solve):
-        # the energy stops changing near iteration 45 with the gradient
-        # at 3.3e-6; the run used to accept unchanged energies up to the cap
+        # the line search reaches the rounding floor near iteration 39 with
+        # the gradient at 3.3e-6; the run used to accept unchanged energies
+        # up to the cap
         assert thin_solve.iterations <= 100
         assert not thin_solve.converged
         assert thin_solve.message.startswith(STALL)
@@ -192,10 +211,23 @@ class TestStop:
         energies = [e.conformal for e in thin_solve.energy_trace]
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
-    def test_energy_evaluations_counted(self, thin_solve):
-        # each accepted step costs at least one evaluation, and the last
-        # iterate exhausts a full line search
-        assert thin_solve.energy_evaluations >= thin_solve.iterations + minimizer._MAX_BACKTRACKS
+    def test_energy_evaluations_counted(self, thin_run):
+        report, evaluated = thin_run
+        # every evaluation after the initial one is a line-search trial, and
+        # each accepted step costs at least one
+        assert report.energy_evaluations == len(evaluated) - 1
+        assert report.energy_evaluations >= report.iterations
+        # the accepted trials are the trace's entries; a search that used
+        # all its trial steps would show _MAX_BACKTRACKS - 1 or more
+        # rejected trials in a row
+        accepted = {id(e) for e in report.energy_trace}
+        assert evaluated[0] is report.energy_trace[0]
+        rejected_run = longest = 0
+        for e in evaluated[1:]:
+            rejected_run = 0 if id(e) in accepted else rejected_run + 1
+            longest = max(longest, rejected_run)
+        assert longest < minimizer._MAX_BACKTRACKS - 1
+        assert report.message.startswith(STALL)
 
     def test_converged_map_with_unreachable_tolerance(self):
         hemi, lap = hemi_with_laplacian(8)
