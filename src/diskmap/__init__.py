@@ -82,6 +82,7 @@ from .laplacian import (
     ConformalEnergy,
     CotanLaplacian,
     EnergyBreakdown,
+    EnergyEvaluation,
     assemble_laplacian,
     conformal_energy,
     dirichlet_energy,

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (
     DegenerateCoefficient,
     DegenerateTriangle,
     DimensionMismatch,
+    ParseError,
     SingularSystem,
     SolverFailure,
 )
+from .laplacian import factorize
 from .mesh import TriMesh, dot, first_offender
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -33,7 +34,7 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BeltramiCoefficient:
-    """Per-face coefficient pair, strictly inside the unit disk."""
+    """Per-face coefficient pair, finite and strictly inside the unit disk."""
 
     mu1: np.ndarray
     mu2: np.ndarray
@@ -43,8 +44,13 @@ class BeltramiCoefficient:
         m2 = np.asarray(self.mu2, dtype=float)
         if m1.shape != m2.shape:
             raise DimensionMismatch("mu1 and mu2 must have matching shapes")
-        if np.any(m1**2 + m2**2 >= 1.0):
-            raise DegenerateCoefficient("need mu1^2 + mu2^2 < 1 on every face")
+        # Written so that NaN and infinity fail it too.
+        bad = ~(m1**2 + m2**2 < 1.0)
+        if bad.any():
+            where, t = first_offender(bad)
+            raise DegenerateCoefficient(
+                f"{where}need mu1^2 + mu2^2 < 1, got ({m1.flat[t]}, {m2.flat[t]})"
+            )
         object.__setattr__(self, "mu1", m1)
         object.__setattr__(self, "mu2", m2)
 
@@ -66,8 +72,9 @@ def beltrami_matrix(mu1, mu2) -> np.ndarray:
     """
     mu1, mu2 = np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float)
     denom = 1.0 - mu1**2 - mu2**2
-    if (denom < _ADMISSIBLE_FLOOR).any():
-        where, _ = first_offender(denom < _ADMISSIBLE_FLOOR)
+    bad = ~(denom >= _ADMISSIBLE_FLOOR)  # NaN fails it too
+    if bad.any():
+        where, _ = first_offender(bad)
         raise DegenerateCoefficient(f"{where}coefficient too close to the unit circle")
     rows = [
         [2.0 * mu2, (1.0 - mu1) ** 2 + mu2**2],
@@ -175,7 +182,7 @@ def solve_beltrami(mesh: TriMesh, mu: BeltramiCoefficient, boundary_values) -> n
     block_ib = system.interior_rows[:, system.boundary]
     rhs = -block_ib @ g_b
     try:
-        lu = spla.splu(block_ii)
+        lu = factorize(block_ii)
         g_i = lu.solve(rhs)
     except RuntimeError as exc:
         raise SingularSystem(f"interior block is singular: {exc}") from exc
@@ -189,19 +196,64 @@ def solve_beltrami(mesh: TriMesh, mu: BeltramiCoefficient, boundary_values) -> n
     return g
 
 
+def _read_indexed_pairs(path, columns) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 'index,a,b' of a CSV file, as the indices (k,) and the pairs (k, 2).
+
+    `columns` names the three fields, e.g. ("face", "mu1", "mu2").  Blank
+    rows and rows whose first field is empty or ``columns[0]`` (any case)
+    are skipped; fields after the third are ignored.  One ``np.loadtxt``
+    call reads the file.  If it fails, the rows are read one by one, and
+    a row with fewer than three fields, a non-integer index or a
+    non-numeric value raises ``ParseError`` with its 1-based line number.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    header = columns[0]
+    start = int(lines[0].split(",", 1)[0].strip().lower() == header)
+    if not "".join(lines[start:]).strip():
+        return np.empty(0, dtype=int), np.empty((0, 2))
+    try:
+        table = np.loadtxt(
+            lines[start:], delimiter=",", dtype=[("index", int), ("pair", float, 2)], ndmin=1
+        )
+    except ValueError:
+        table = None
+    if table is not None:
+        return table["index"], table["pair"]
+    indices, pairs = [], []
+    reader = csv.reader(lines)
+    for row in reader:
+        if not row or row[0].strip().lower() in (header, ""):
+            continue
+        if len(row) < 3:
+            raise ParseError(
+                f"expected the 3 fields {','.join(columns)}, found {len(row)}",
+                line=reader.line_num,
+            )
+        try:
+            indices.append(int(row[0]))
+            pairs.append((float(row[1]), float(row[2])))
+        except ValueError:
+            raise ParseError(
+                f"{header} must be an integer and {columns[1]}, {columns[2]} numbers",
+                line=reader.line_num,
+            ) from None
+    return np.array(indices, dtype=int), np.array(pairs, dtype=float).reshape(-1, 2)
+
+
 def read_mu_csv(path, num_faces: int) -> BeltramiCoefficient:
-    """Read per-face coefficients from CSV rows 'face,mu1,mu2'."""
+    """Read per-face coefficients from CSV rows 'face,mu1,mu2'.
+
+    Faces without a row get mu = 0.
+    """
+    faces, pairs = _read_indexed_pairs(path, ("face", "mu1", "mu2"))
+    out = (faces < 0) | (faces >= num_faces)
+    if out.any():
+        raise DimensionMismatch(f"face index {faces[np.argmax(out)]} out of range")
     mu1 = np.zeros(num_faces)
     mu2 = np.zeros(num_faces)
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("face", ""):
-                continue
-            t = int(row[0])
-            if not 0 <= t < num_faces:
-                raise DimensionMismatch(f"face index {t} out of range")
-            mu1[t] = float(row[1])
-            mu2[t] = float(row[2])
+    mu1[faces] = pairs[:, 0]
+    mu2[faces] = pairs[:, 1]
     return BeltramiCoefficient(mu1, mu2)
 
 
@@ -210,13 +262,9 @@ def read_boundary_csv(path, mesh: TriMesh) -> np.ndarray:
 
     Every boundary vertex of the mesh must receive a value.
     """
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() in ("vertex", ""):
-                continue
-            values[int(row[0])] = (float(row[1]), float(row[2]))
-    missing = [int(v) for v in mesh.boundary_vertices if int(v) not in values]
+    vertices, pairs = _read_indexed_pairs(path, ("vertex", "x", "y"))
+    row_of = {v: r for r, v in enumerate(vertices.tolist())}
+    missing = [int(v) for v in mesh.boundary_vertices if int(v) not in row_of]
     if missing:
         raise DimensionMismatch(f"missing boundary values for vertices {missing[:5]}")
-    return np.array([values[int(v)] for v in mesh.boundary_vertices])
+    return pairs[[row_of[int(v)] for v in mesh.boundary_vertices]]

@@ -42,7 +42,7 @@ class OffPlane(DiskmapError):
 
 
 class ParseError(DiskmapError):
-    """Mesh file could not be parsed.
+    """An input file (OFF mesh, Beltrami CSV) could not be parsed.
 
     Carries the 1-based line number of the offending line.
     """

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import SingularBeyondGauge, SolverFailure
-from .laplacian import CotanLaplacian, mapped_area
+from .laplacian import CotanLaplacian, factorize, mapped_area
 from .mesh import TriMesh, triangle_metrics
 
 _RESIDUAL_TOL = 1e-10
@@ -117,7 +116,7 @@ def solve_weak_lb(
     reduced = laplacian.matrix[keep][:, keep].tocsc()
     rhs = b[keep]
     try:
-        lu = spla.splu(reduced)
+        lu = factorize(reduced)
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SingularBeyondGauge(f"pinned system is singular: {exc}") from exc

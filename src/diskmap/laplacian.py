@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .barycentric import projection_frame
 from .errors import DimensionMismatch, NonFiniteWeight
@@ -102,6 +103,24 @@ def assemble_laplacian(
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
     return CotanLaplacian(size=n, matrix=matrix, edges=edges, weights=weights)
+
+
+# Every matrix factored in the package (L's interior block, L with one
+# vertex pinned, the Beltrami interior block) has the mesh's symmetric
+# adjacency pattern, which a minimum-degree ordering of A + A^T suits.
+# scipy's default, COLAMD, orders A^T A; at n = 96 it leaves 608 538
+# factor nonzeros where this leaves 375 098.
+FACTOR_ORDERING = "MMD_AT_PLUS_A"
+
+
+def factorize(matrix: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of a square matrix with the mesh's adjacency pattern.
+
+    Columns are ordered by :data:`FACTOR_ORDERING`, and SuperLU keeps its
+    default partial pivoting.  Raises RuntimeError, as ``splu`` does, if
+    the matrix is singular; callers turn that into their own error.
+    """
+    return spla.splu(matrix.tocsc(), permc_spec=FACTOR_ORDERING)
 
 
 def as_vertex_map(values, size: int) -> np.ndarray:
@@ -201,6 +220,21 @@ class EnergyBreakdown:
         return self.dirichlet - self.area
 
 
+@dataclass(frozen=True)
+class EnergyEvaluation:
+    """The conformal energy at one map, with the sparse products L f and
+    P f it was computed from; the gradient follows from them without
+    another product."""
+
+    energy: EnergyBreakdown
+    lf: np.ndarray
+    pf: np.ndarray
+
+    def gradient(self) -> np.ndarray:
+        """Per-vertex gradient L f - 0.5 rot90(P f)."""
+        return self.lf - 0.5 * np.column_stack([self.pf[:, 1], -self.pf[:, 0]])
+
+
 class ConformalEnergy:
     """The conformal energy E(f) = 0.5 <L f, f> - A(f) on one mesh.
 
@@ -208,9 +242,10 @@ class ConformalEnergy:
     of :func:`_ring_sum_operator`; the mapped area is
     A(f) = 0.25 <f, rot90(P f)> and the per-vertex gradient is
     L f - 0.5 rot90(P f), whose area part is zero at interior vertices.
-    Both methods take a finite (V, 2) float map and do not check it;
-    :func:`conformal_energy` and :func:`energy_gradient` validate their
-    input first.
+    :meth:`evaluate` forms L f and P f once and keeps them; the call and
+    :meth:`gradient` read their parts of it.  All three take a finite
+    (V, 2) float map and do not check it; :func:`conformal_energy` and
+    :func:`energy_gradient` validate their input first.
     """
 
     def __init__(self, mesh: TriMesh, laplacian: CotanLaplacian):
@@ -219,16 +254,20 @@ class ConformalEnergy:
         self.matrix = laplacian.matrix
         self.ring = _ring_sum_operator(mesh)
 
-    def __call__(self, f: np.ndarray) -> EnergyBreakdown:
+    def evaluate(self, f: np.ndarray) -> EnergyEvaluation:
+        lf = self.matrix @ f
         pf = self.ring @ f
-        return EnergyBreakdown(
-            dirichlet=0.5 * float(np.sum(f * (self.matrix @ f))),
+        energy = EnergyBreakdown(
+            dirichlet=0.5 * float(np.sum(f * lf)),
             area=0.25 * float(np.sum(f[:, 0] * pf[:, 1] - f[:, 1] * pf[:, 0])),
         )
+        return EnergyEvaluation(energy=energy, lf=lf, pf=pf)
+
+    def __call__(self, f: np.ndarray) -> EnergyBreakdown:
+        return self.evaluate(f).energy
 
     def gradient(self, f: np.ndarray) -> np.ndarray:
-        pf = self.ring @ f
-        return self.matrix @ f - 0.5 * np.column_stack([pf[:, 1], -pf[:, 0]])
+        return self.evaluate(f).gradient()
 
 
 def conformal_energy(mesh: TriMesh, laplacian: CotanLaplacian, f) -> EnergyBreakdown:

@@ -7,6 +7,7 @@ derived connectivity (edges, boundary) is computed once at construction.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,25 +290,24 @@ def load_mesh(path) -> TriMesh:
 
     Accepts the minimal grammar: an ``OFF`` header line, a counts line
     ``nv nf ne``, nv vertex lines with 3 coordinates, nf face lines
-    ``3 i j k``.  Blank lines and ``#`` comments are skipped.
+    ``3 i j k``.  Blank lines and ``#`` comments are skipped.  Each block
+    is read with one ``np.loadtxt`` call; a ``ParseError`` names the
+    1-based line number of the first bad line.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
+        lines = re.sub("#.*", "", fh.read()).split("\n")
+    # Indices of the lines that hold data, in order.
+    data = np.flatnonzero(np.fromiter(map(str.strip, lines), dtype=bool, count=len(lines)))
 
-    tokens = []  # (line_number, split fields)
-    for no, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            tokens.append((no, body.split()))
-
-    if not tokens:
+    if not len(data):
         raise ParseError("empty file")
-    no, fields = tokens[0]
-    if fields != ["OFF"]:
+    no = int(data[0]) + 1
+    if lines[data[0]].split() != ["OFF"]:
         raise ParseError("expected OFF header", line=no)
-    if len(tokens) < 2:
+    if len(data) < 2:
         raise ParseError("missing counts line", line=no)
-    no, fields = tokens[1]
+    no = int(data[1]) + 1
+    fields = lines[data[1]].split()
     if len(fields) != 3:
         raise ParseError("counts line must have three integers", line=no)
     try:
@@ -315,34 +315,54 @@ def load_mesh(path) -> TriMesh:
     except ValueError:
         raise ParseError("counts line must have three integers", line=no) from None
 
-    body = tokens[2:]
+    body = data[2:]
     if len(body) != nv + nf:
         raise ParseError(
             f"expected {nv} vertex and {nf} face lines, found {len(body)}",
-            line=body[-1][0] if body else no,
+            line=int(body[-1]) + 1 if len(body) else no,
         )
+    verts = _read_block(lines, body[:nv], float, 3, _vertex_row)
+    faces = _read_block(lines, body[nv:], int, 4, _face_row, lambda b: (b[:, 0] == 3).all())
+    return TriMesh(verts, faces[:, 1:])
 
-    verts = np.empty((nv, 3))
-    for r in range(nv):
-        no, fields = body[r]
-        if len(fields) != 3:
-            raise ParseError("vertex line must have three coordinates", line=no)
+
+def _vertex_row(fields, no):
+    if len(fields) != 3:
+        raise ParseError("vertex line must have three coordinates", line=no)
+    try:
+        return [float(x) for x in fields]
+    except ValueError:
+        raise ParseError("bad vertex coordinate", line=no) from None
+
+
+def _face_row(fields, no):
+    if len(fields) != 4 or fields[0] != "3":
+        raise ParseError("face line must read '3 i j k'", line=no)
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError("bad face index", line=no) from None
+
+
+def _read_block(lines, rows, dtype, width, parse_row, valid=lambda block: True):
+    """The data lines `rows` of `lines` as a (len(rows), width) array.
+
+    One ``np.loadtxt`` call reads the block.  If it fails, or its result
+    has another width or is not `valid`, ``parse_row(fields, line_number)``
+    reads the lines one by one instead: it raises the ``ParseError`` of
+    the first bad line, and returns the block if Python reads a field
+    that numpy refuses.
+    """
+    if len(rows):
         try:
-            verts[r] = [float(x) for x in fields]
+            block = np.loadtxt(lines[rows[0] : rows[-1] + 1], dtype=dtype, ndmin=2)
         except ValueError:
-            raise ParseError("bad vertex coordinate", line=no) from None
-
-    faces = np.empty((nf, 3), dtype=int)
-    for r in range(nf):
-        no, fields = body[nv + r]
-        if len(fields) != 4 or fields[0] != "3":
-            raise ParseError("face line must read '3 i j k'", line=no)
-        try:
-            faces[r] = [int(x) for x in fields[1:]]
-        except ValueError:
-            raise ParseError("bad face index", line=no) from None
-
-    return TriMesh(verts, faces)
+            block = None
+        if block is not None and block.shape[1] == width and valid(block):
+            return block
+    return np.array(
+        [parse_row(lines[r].split(), int(r) + 1) for r in rows], dtype=dtype
+    ).reshape(-1, width)
 
 
 def save_mesh(mesh: TriMesh, path):

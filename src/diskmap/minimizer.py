@@ -3,20 +3,22 @@
 Boundary vertices live on the unit circle and are parameterized by their
 angles, so feasibility is exact at every iterate; interior vertices carry
 free planar coordinates.  The driver is a backtracking line-search
-descent with limited-memory curvature pairs, preconditioned by a
-factorization of the interior block of the Laplacian (the energy is
-quadratic in the interior, so that block is the exact interior Hessian).
+descent with limited-memory curvature pairs, each stored with its y . s,
+preconditioned by a factorization of the interior block of the Laplacian
+(the energy is quadratic in the interior, so that block is the exact
+interior Hessian), made by :func:`~diskmap.laplacian.factorize`.
 Accepted iterates strictly lower the energy, which is evaluated by
-:class:`~diskmap.laplacian.ConformalEnergy`.
+:meth:`~diskmap.laplacian.ConformalEnergy.evaluate`; the gradient of an
+accepted step is formed from the products of its trial evaluation.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, InvalidTopology, ZeroReference
 from .laplacian import (
@@ -25,6 +27,7 @@ from .laplacian import (
     EnergyBreakdown,
     as_vertex_map,
     face_image_areas,
+    factorize,
 )
 from .mesh import TriMesh
 
@@ -125,7 +128,7 @@ class _DiskProblem:
         matrix = laplacian.matrix
         self.lu = None
         if self.n_int:
-            self.lu = spla.splu(matrix[self.interior][:, self.interior].tocsc())
+            self.lu = factorize(matrix[self.interior][:, self.interior])
         diag = np.asarray(matrix[self.boundary, self.boundary]).ravel()
         self.theta_scale = np.maximum(diag, 1e-12)
 
@@ -198,15 +201,16 @@ def minimize(
     x = np.concatenate([init[problem.interior].ravel(), theta0])
 
     f, theta = problem.assemble(x)
-    current = conformal(f)
-    g = problem.reduce(conformal.gradient(f), theta)
+    point = conformal.evaluate(f)
+    current = point.energy
+    g = problem.reduce(point.gradient(), theta)
 
     trace = [current]
     grad_norms = [float(np.linalg.norm(g))]
     folds = [int(np.sum(face_image_areas(mesh, f) < 0))]
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
+    # Curvature pairs (s, y, y @ s), oldest first.
+    pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_MEMORY)
     iterations = 0
     evaluations = 0
     converged = False
@@ -216,8 +220,8 @@ def minimize(
         """The first trial step whose energy is strictly below the current
         one and passes the Armijo test, or None; and whether the search
         ended at the rounding floor rather than by running out of trial
-        steps.  Only the energy is evaluated; the caller forms the gradient
-        of the accepted step."""
+        steps.  The accepted step comes with its energy evaluation, from
+        whose products the caller forms the gradient."""
         nonlocal evaluations
         energy = current.conformal
         step = _INITIAL_STEP
@@ -227,9 +231,9 @@ def minimize(
                 return None, True
             x_new = x + step * direction
             f_new, theta_new = problem.assemble(x_new)
-            trial = conformal(f_new)
+            trial = conformal.evaluate(f_new)
             evaluations += 1
-            e_new = trial.conformal
+            e_new = trial.energy.conformal
             # The Armijo bound can round to the energy; `<` rejects no change.
             if e_new < energy and e_new <= energy + _ARMIJO * step * slope:
                 return (x_new, f_new, theta_new, trial), False
@@ -247,24 +251,24 @@ def minimize(
         # preconditioner.
         q = g.copy()
         alphas = []
-        for s, y in zip(reversed(s_hist), reversed(y_hist)):
-            a = (s @ q) / (y @ s)
+        for s, y, ys in reversed(pairs):
+            a = (s @ q) / ys
             alphas.append(a)
             q -= a * y
         q = problem.precondition(q)
-        for (s, y), a in zip(zip(s_hist, y_hist), reversed(alphas)):
-            q += (a - (y @ q) / (y @ s)) * s
+        for (s, y, ys), a in zip(pairs, reversed(alphas)):
+            q += (a - (y @ q) / ys) * s
         direction = -q
 
         slope = float(g @ direction)
         if slope > -1e-14 * np.linalg.norm(direction) * grad_norm:
             direction = -problem.precondition(g)
             slope = float(g @ direction)
-            s_hist, y_hist = [], []
+            pairs.clear()
         result, at_floor = backtrack(direction, slope)
-        if result is None and s_hist:
+        if result is None and pairs:
             # Curvature model rejected; retry with the plain direction.
-            s_hist, y_hist = [], []
+            pairs.clear()
             direction = -problem.precondition(g)
             slope = float(g @ direction)
             result, at_floor = backtrack(direction, slope)
@@ -282,16 +286,14 @@ def minimize(
                 )
             break
 
-        x_new, f, theta, current = result
-        g_new = problem.reduce(conformal.gradient(f), theta)
+        x_new, f, theta, point = result
+        current = point.energy
+        g_new = problem.reduce(point.gradient(), theta)
         s = x_new - x
         y = g_new - g
-        if y @ s > _CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
-            s_hist.append(s)
-            y_hist.append(y)
-            if len(s_hist) > _MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
+        ys = y @ s
+        if ys > _CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
+            pairs.append((s, y, ys))
 
         x, g = x_new, g_new
         iterations += 1

@@ -47,6 +47,16 @@ class TestBeltramiMatrix:
         with pytest.raises(DegenerateCoefficient):
             BeltramiCoefficient(np.array([0.8]), np.array([0.7]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        # NaN compares false with everything, so the test must be "not < 1"
+        mu1 = np.array([0.1, 0.2, value, value])
+        mu2 = np.zeros(4)
+        with pytest.raises(DegenerateCoefficient, match="^face 2: "):
+            BeltramiCoefficient(mu1, mu2)
+        with pytest.raises(DegenerateCoefficient, match="^face 2: "):
+            beltrami_matrix(mu2, mu1)
+
 
 class TestFaceWeights:
     def test_rows_sum_to_zero(self):

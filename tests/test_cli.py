@@ -222,6 +222,40 @@ class TestBeltramiCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize(
+        "which, row",
+        [("mu", "0,0.1"), ("mu", "0,0.1,abc"), ("boundary", "3,0.5"), ("boundary", "x,0.5,0.5")],
+    )
+    def test_bad_csv_row_names_its_line(self, tmp_path, capsys, which, row):
+        mesh = planar_disk_mesh(6, 9)
+        mesh_path = tmp_path / "disk.off"
+        save_mesh(mesh, mesh_path)
+        files = {
+            "mu": ["face,mu1,mu2", "1,0.0,0.0"],
+            "boundary": ["vertex,x,y"]
+            + [f"{v},{mesh.vertices[v, 0]:.17g},{mesh.vertices[v, 1]:.17g}" for v in mesh.boundary_vertices],
+        }
+        files[which].insert(2, row)  # line 3 of its file
+        for name, lines in files.items():
+            (tmp_path / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        code = run(
+            [
+                "--out-dir",
+                str(tmp_path),
+                "beltrami",
+                "--mesh",
+                str(mesh_path),
+                "--mu",
+                str(tmp_path / "mu.csv"),
+                "--boundary",
+                str(tmp_path / "boundary.csv"),
+            ]
+        )
+        assert code == 1
+        assert "line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "beltrami.csv").exists()
+
+
 class TestConfigFile:
     def test_config_overrides_flags(self, tmp_path):
         # the config file is the reproducible run manifest: it wins

@@ -238,3 +238,11 @@ class TestEmitReport:
                 )
             )
         assert results[0] == results[1]
+
+
+def test_sweep_fit_exponent_matches_the_benchmark_reference():
+    # The benchmark's sweep reference (perfbench/reference.json) and its
+    # 1e-6 tolerance; a change that moves the minimizer's path enough to
+    # fail the benchmark's check fails here too.
+    rows = run_sweep(11 / 12, (8, 12, 16, 24, 32, 48, 64), rho_mode="quadrature")
+    assert abs(fit_exponent(rows).exponent - 1.6941761140045843) <= 1e-6

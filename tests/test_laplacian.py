@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from diskmap import (
+    BeltramiCoefficient,
     ConformalEnergy,
     DimensionMismatch,
     HemisphereSpec,
@@ -13,16 +15,22 @@ from diskmap import (
     conformal_energy,
     dirichlet_energy,
     dirichlet_energy_edge_sum,
+    disk_initial_guess,
+    energy_gradient,
     face_area_ratios,
     face_image_areas,
+    face_nearest,
     gen_hemisphere,
     mapped_area,
+    minimize,
     patch_area_quadrature,
     per_triangle_dirichlet,
     per_triangle_dirichlet_matrix,
+    solve_beltrami,
     stereographic_project,
     triangle_metrics,
 )
+from diskmap.laplacian import FACTOR_ORDERING
 
 from conftest import annulus_mesh, planar_disk_mesh, random_triangle
 
@@ -431,6 +439,25 @@ class TestOperatorOracles:
             assert np.array_equal(face_image_areas(mesh, f), areas)
 
     @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+    def test_gradient_from_an_evaluation_equals_energy_gradient(self, case):
+        # minimize forms an accepted step's gradient from the L f and P f of
+        # its trial evaluation instead of recomputing both products
+        mesh, rho, kwargs = OPERATOR_CASES[case]()
+        lap = assemble_laplacian(mesh, rho_mode=rho, **kwargs)
+        energy = ConformalEnergy(mesh, lap)
+        ring = face_corner_ring(mesh)
+        rng = np.random.default_rng(11)
+        for f in (mesh.vertices[:, :2].copy(), rng.normal(size=(mesh.num_vertices, 2))):
+            point = energy.evaluate(f)
+            assert point.energy == conformal_energy(mesh, lap, f)
+            gradient = energy_gradient(mesh, lap, f)
+            assert np.array_equal(point.gradient(), gradient)
+            pf = ring @ f
+            assert np.array_equal(
+                gradient, lap.matrix @ f - 0.5 * np.column_stack([pf[:, 1], -pf[:, 0]])
+            )
+
+    @pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
     def test_boundary_halfedges_follow_the_faces(self, case):
         mesh = OPERATOR_CASES[case]()[0]
         # every directed face edge, corner-major: (i, j) of each face, then
@@ -441,3 +468,25 @@ class TestOperatorOracles:
         expected = [e for e in directed.tolist() if (min(e), max(e)) in boundary]
         assert mesh.boundary_halfedges.tolist() == expected
         assert len(expected) == len(boundary)
+
+
+def test_mesh_factorizations_share_one_ordering(monkeypatch):
+    # the harmonic init, the minimizer and the Beltrami solve all factor
+    # through laplacian.factorize, with its minimum-degree ordering
+    orderings = []
+    splu = spla.splu
+
+    def recorded(matrix, **kwargs):
+        orderings.append(kwargs.get("permc_spec"))
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recorded)
+    hemi = gen_hemisphere(HemisphereSpec.from_exponent(8, 11 / 12))
+    lap = assemble_laplacian(hemi.mesh)
+    source = face_nearest(hemi.mesh, np.array([0.0, 0.0, -1.0]))
+    minimize(hemi.mesh, lap, disk_initial_guess(hemi.mesh, lap, source))
+    disk = planar_disk_mesh(6, 9)
+    boundary = disk.vertices[disk.boundary_vertices, :2]
+    solve_beltrami(disk, BeltramiCoefficient.zero(disk.num_faces), boundary)
+    assert FACTOR_ORDERING == "MMD_AT_PLUS_A"
+    assert orderings == [FACTOR_ORDERING] * 3
