@@ -20,6 +20,7 @@ from .errors import (
     DegenerateCoefficient,
     DegenerateTriangle,
     DimensionMismatch,
+    NonFiniteVertex,
     ParseError,
     SingularSystem,
     SolverFailure,
@@ -244,12 +245,16 @@ def _read_indexed_pairs(path, columns) -> tuple[np.ndarray, np.ndarray]:
 def read_mu_csv(path, num_faces: int) -> BeltramiCoefficient:
     """Read per-face coefficients from CSV rows 'face,mu1,mu2'.
 
-    Faces without a row get mu = 0.
+    Faces without a row get mu = 0.  A face index out of range or given
+    twice raises ``DimensionMismatch`` naming the face.
     """
     faces, pairs = _read_indexed_pairs(path, ("face", "mu1", "mu2"))
     out = (faces < 0) | (faces >= num_faces)
     if out.any():
         raise DimensionMismatch(f"face index {faces[np.argmax(out)]} out of range")
+    repeated = np.bincount(faces, minlength=num_faces) > 1
+    if repeated.any():
+        raise DimensionMismatch(f"face {np.argmax(repeated)} has more than one row")
     mu1 = np.zeros(num_faces)
     mu2 = np.zeros(num_faces)
     mu1[faces] = pairs[:, 0]
@@ -258,13 +263,45 @@ def read_mu_csv(path, num_faces: int) -> BeltramiCoefficient:
 
 
 def read_boundary_csv(path, mesh: TriMesh) -> np.ndarray:
-    """Read boundary values from CSV rows 'vertex,x,y'.
+    """Read boundary values from CSV rows 'vertex,x,y', ordered like
+    ``mesh.boundary_vertices``.
 
-    Every boundary vertex of the mesh must receive a value.
+    Every boundary vertex of the mesh must receive exactly one value, and
+    only boundary vertices may.  A row for a vertex outside [0, V) or
+    not on the boundary, a vertex given twice or left out raises
+    ``DimensionMismatch``, and a non-finite value ``NonFiniteVertex``;
+    the message names the vertex.
     """
     vertices, pairs = _read_indexed_pairs(path, ("vertex", "x", "y"))
-    row_of = {v: r for r, v in enumerate(vertices.tolist())}
-    missing = [int(v) for v in mesh.boundary_vertices if int(v) not in row_of]
-    if missing:
-        raise DimensionMismatch(f"missing boundary values for vertices {missing[:5]}")
-    return pairs[[row_of[int(v)] for v in mesh.boundary_vertices]]
+    boundary = mesh.boundary_vertices
+    in_mesh = (vertices >= 0) & (vertices < mesh.num_vertices)
+    if not in_mesh.all():
+        raise DimensionMismatch(
+            f"vertex {vertices[np.argmin(in_mesh)]} is not in the mesh "
+            f"({mesh.num_vertices} vertices)"
+        )
+    slot_of = np.full(mesh.num_vertices, -1)
+    slot_of[boundary] = np.arange(len(boundary))
+    slot = slot_of[vertices]
+    if (slot < 0).any():
+        raise DimensionMismatch(
+            f"vertex {vertices[np.argmax(slot < 0)]} is not a boundary vertex"
+        )
+    counts = np.bincount(slot, minlength=len(boundary))
+    if (counts > 1).any():
+        raise DimensionMismatch(
+            f"vertex {boundary[np.argmax(counts > 1)]} has more than one row"
+        )
+    if (counts == 0).any():
+        missing = boundary[counts == 0][:5].tolist()
+        raise DimensionMismatch(f"missing boundary values for vertices {missing}")
+    bad = ~np.isfinite(pairs).all(axis=1)
+    if bad.any():
+        k = np.argmax(bad)
+        raise NonFiniteVertex(
+            f"vertex {vertices[k]} has the non-finite boundary value "
+            f"({pairs[k, 0]}, {pairs[k, 1]})"
+        )
+    values = np.empty((len(boundary), 2))
+    values[slot] = pairs
+    return values

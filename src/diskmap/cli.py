@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 numerical failure (a report is still written
-when possible), 2 usage or I/O errors.  A ``--config`` file of
-``key = value`` lines overrides flags; unknown keys are rejected.  The
-``DISKMAP_OUTDIR`` environment variable sets the default output root.
+when possible) or an input file that cannot be parsed, 2 usage or I/O
+errors.  A ``ParseError`` prints as ``input error: ...`` and every
+other ``DiskmapError`` as ``numerical failure: ...``; both exit 1.  A
+``--config`` file of ``key = value`` lines overrides flags; unknown keys
+are rejected.  The ``DISKMAP_OUTDIR`` environment variable sets the
+default output root.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from . import __version__
 from .beltrami import read_boundary_csv, read_mu_csv, solve_beltrami
 from .bounds import BoundsConfig, build_bound_report, quality_csv, quality_report, scan_degraded_faces
-from .errors import DiskmapError
+from .errors import DiskmapError, ParseError
 from .experiments import DEFAULT_N_GRID, emit_report, fit_exponent, run_sweep
 from .harmonic import disk_initial_guess, face_nearest
 from .hemisphere import HemisphereSpec, gen_hemisphere
@@ -330,6 +333,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ParseError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
     except DiskmapError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR

@@ -30,7 +30,8 @@ class NearPole(DiskmapError):
 
 
 class NonFiniteVertex(DiskmapError):
-    """A mesh vertex has a NaN or infinite coordinate."""
+    """A mesh vertex, or the value an input file gives for one, has a NaN
+    or infinite coordinate."""
 
 
 class NonFiniteWeight(DiskmapError):

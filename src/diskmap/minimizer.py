@@ -10,11 +10,18 @@ interior Hessian), made by :func:`~diskmap.laplacian.factorize`.
 Accepted iterates strictly lower the energy, which is evaluated by
 :meth:`~diskmap.laplacian.ConformalEnergy.evaluate`; the gradient of an
 accepted step is formed from the products of its trial evaluation.
+
+Every dot product and norm of the reduced vectors goes through
+:func:`_dot`, which sums blocks short enough for OpenBLAS to keep on
+one thread.  So the iterates, and the report bytes, do not depend on
+the BLAS thread count, and the second thread is never woken for a
+reduction between the numpy calls around it.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -42,6 +49,33 @@ _MEMORY = 10
 _INITIAL_STEP = 1.0
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 50
+# OpenBLAS splits a dot product across threads above 10 000 entries, and
+# the partial sums then depend on the thread count.  _dot sums blocks
+# short enough to stay on one thread.
+_DOT_BLOCK = 8192
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of 1-d float vectors, ``a @ b`` per block of at
+    most ``_DOT_BLOCK`` entries, the blocks summed in order.
+
+    Bit-identical to ``a @ b`` up to ``_DOT_BLOCK`` entries, and
+    independent of the BLAS thread count at every length.
+    """
+    if len(a) <= _DOT_BLOCK:
+        return float(a @ b)
+    total = 0.0
+    for start in range(0, len(a), _DOT_BLOCK):
+        stop = start + _DOT_BLOCK
+        total += float(a[start:stop] @ b[start:stop])
+    return total
+
+
+def _norm(a: np.ndarray) -> float:
+    """Euclidean norm through :func:`_dot`; ``np.linalg.norm`` is the
+    square root of ``a @ a``, so the two agree bit for bit wherever
+    :func:`_dot` equals ``a @ b``."""
+    return math.sqrt(_dot(a, a))
 
 
 @dataclass(frozen=True)
@@ -118,13 +152,19 @@ class SolveReport:
 
 class _DiskProblem:
     """Reduced variables (interior coordinates, boundary angles) and the
-    preconditioner on them."""
+    preconditioner on them.
+
+    ``flat`` indexes the interior coordinates in a raveled (V, 2) map, in
+    the order of the reduced vector: x0, y0, x1, y1, ... of
+    ``interior``.
+    """
 
     def __init__(self, mesh, laplacian):
         self.num_vertices = mesh.num_vertices
         self.boundary = mesh.boundary_vertices
         self.interior = mesh.interior_vertices()
         self.n_int = len(self.interior)
+        self.flat = (2 * self.interior[:, None] + np.arange(2)).ravel()
         matrix = laplacian.matrix
         self.lu = None
         if self.n_int:
@@ -136,17 +176,20 @@ class _DiskProblem:
         """The vertex map of reduced variables `x`, and its boundary angles."""
         theta = x[2 * self.n_int :]
         f = np.empty((self.num_vertices, 2))
-        f[self.interior] = x[: 2 * self.n_int].reshape(-1, 2)
+        f.reshape(-1)[self.flat] = x[: 2 * self.n_int]
         f[self.boundary, 0] = np.cos(theta)
         f[self.boundary, 1] = np.sin(theta)
         return f, theta
 
     def reduce(self, g, theta):
-        """Per-vertex gradient `g` as a gradient in the reduced variables."""
-        tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
-        return np.concatenate(
-            [g[self.interior].ravel(), np.sum(g[self.boundary] * tangent, axis=1)]
-        )
+        """Per-vertex gradient `g` as a gradient in the reduced variables:
+        the interior coordinates, then each boundary vertex's component
+        along the tangent (-sin theta, cos theta)."""
+        out = np.empty(len(self.flat) + len(theta))
+        np.take(g.reshape(-1), self.flat, out=out[: len(self.flat)])
+        g_b = g[self.boundary]
+        out[len(self.flat) :] = g_b[:, 1] * np.cos(theta) - g_b[:, 0] * np.sin(theta)
+        return out
 
     def precondition(self, v):
         out = np.empty_like(v)
@@ -206,7 +249,8 @@ def minimize(
     g = problem.reduce(point.gradient(), theta)
 
     trace = [current]
-    grad_norms = [float(np.linalg.norm(g))]
+    grad_norm = _norm(g)
+    grad_norms = [grad_norm]
     folds = [int(np.sum(face_image_areas(mesh, f) < 0))]
 
     # Curvature pairs (s, y, y @ s), oldest first.
@@ -241,7 +285,6 @@ def minimize(
         return None, False
 
     while iterations < options.max_iterations:
-        grad_norm = np.linalg.norm(g)
         if grad_norm <= options.gradient_tolerance:
             converged = True
             message = "gradient tolerance reached"
@@ -252,25 +295,25 @@ def minimize(
         q = g.copy()
         alphas = []
         for s, y, ys in reversed(pairs):
-            a = (s @ q) / ys
+            a = _dot(s, q) / ys
             alphas.append(a)
             q -= a * y
         q = problem.precondition(q)
         for (s, y, ys), a in zip(pairs, reversed(alphas)):
-            q += (a - (y @ q) / ys) * s
+            q += (a - _dot(y, q) / ys) * s
         direction = -q
 
-        slope = float(g @ direction)
-        if slope > -1e-14 * np.linalg.norm(direction) * grad_norm:
+        slope = _dot(g, direction)
+        if slope > -1e-14 * _norm(direction) * grad_norm:
             direction = -problem.precondition(g)
-            slope = float(g @ direction)
+            slope = _dot(g, direction)
             pairs.clear()
         result, at_floor = backtrack(direction, slope)
         if result is None and pairs:
             # Curvature model rejected; retry with the plain direction.
             pairs.clear()
             direction = -problem.precondition(g)
-            slope = float(g @ direction)
+            slope = _dot(g, direction)
             result, at_floor = backtrack(direction, slope)
         if result is None:
             above = (
@@ -291,14 +334,15 @@ def minimize(
         g_new = problem.reduce(point.gradient(), theta)
         s = x_new - x
         y = g_new - g
-        ys = y @ s
-        if ys > _CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
+        ys = _dot(y, s)
+        if ys > _CURVATURE_FLOOR * _norm(y) * _norm(s):
             pairs.append((s, y, ys))
 
         x, g = x_new, g_new
         iterations += 1
+        grad_norm = _norm(g)
         trace.append(current)
-        grad_norms.append(float(np.linalg.norm(g)))
+        grad_norms.append(grad_norm)
         folds.append(int(np.sum(face_image_areas(mesh, f) < 0)))
 
     return SolveReport(

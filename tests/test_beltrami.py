@@ -7,6 +7,7 @@ from diskmap import (
     BeltramiCoefficient,
     DegenerateCoefficient,
     DimensionMismatch,
+    NonFiniteVertex,
     TriMesh,
     assemble_beltrami,
     assemble_laplacian,
@@ -239,3 +240,59 @@ class TestCsvIngestion:
         path.write_text("vertex,x,y\n1,0.0,0.0\n")
         with pytest.raises(DimensionMismatch):
             read_boundary_csv(path, mesh)
+
+    @staticmethod
+    def boundary_lines(mesh):
+        return ["vertex,x,y"] + [
+            f"{v},{mesh.vertices[v, 0]:.17g},{mesh.vertices[v, 1]:.17g}"
+            for v in mesh.boundary_vertices
+        ]
+
+    @pytest.mark.parametrize(
+        "row, named",
+        [
+            ("99999,5,5", "vertex 99999 is not in the mesh"),
+            ("-3,1,1", "vertex -3 is not in the mesh"),
+            ("0,0.5,0.5", "vertex 0 is not a boundary vertex"),
+        ],
+    )
+    def test_row_off_the_boundary_rejected(self, tmp_path, row, named):
+        mesh = planar_disk_mesh(6, 9)
+        assert 0 in mesh.interior_vertices()
+        path = tmp_path / "bnd.csv"
+        path.write_text("\n".join(self.boundary_lines(mesh) + [row]) + "\n")
+        with pytest.raises(DimensionMismatch, match=named):
+            read_boundary_csv(path, mesh)
+
+    def test_vertex_given_twice_rejected(self, tmp_path):
+        mesh = planar_disk_mesh(6, 9)
+        path = tmp_path / "bnd.csv"
+        lines = self.boundary_lines(mesh)
+        path.write_text("\n".join(lines + ["4,0.0,0.0"]) + "\n")
+        with pytest.raises(DimensionMismatch, match="vertex 4 has more than one row"):
+            read_boundary_csv(path, mesh)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        mesh = planar_disk_mesh(6, 9)
+        path = tmp_path / "bnd.csv"
+        lines = self.boundary_lines(mesh)
+        lines[3] = f"3,0.5,{value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteVertex, match="vertex 3 "):
+            read_boundary_csv(path, mesh)
+
+    def test_rows_in_any_order(self, tmp_path):
+        mesh = planar_disk_mesh(6, 9)
+        path = tmp_path / "bnd.csv"
+        lines = self.boundary_lines(mesh)
+        path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        values = read_boundary_csv(path, mesh)
+        assert np.array_equal(values, mesh.vertices[mesh.boundary_vertices][:, :2])
+
+    def test_face_given_twice_rejected(self, tmp_path):
+        mesh = planar_disk_mesh(6, 9)
+        path = tmp_path / "mu.csv"
+        path.write_text("face,mu1,mu2\n0,0.25,-0.1\n3,0.0,0.5\n0,0.1,0.1\n")
+        with pytest.raises(DimensionMismatch, match="face 0 has more than one row"):
+            read_mu_csv(path, mesh.num_faces)

@@ -252,8 +252,51 @@ class TestBeltramiCommand:
             ]
         )
         assert code == 1
-        assert "line 3:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("input error: line 3:")
         assert not (tmp_path / "beltrami.csv").exists()
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("99999,5,5", "numerical failure: vertex 99999 is not in the mesh"),
+            ("0,0.5,0.5", "numerical failure: vertex 0 is not a boundary vertex"),
+            ("3,0.5,nan", "numerical failure: vertex 3 has the non-finite"),
+        ],
+    )
+    def test_boundary_row_not_fitting_the_mesh_exit_1(self, tmp_path, capsys, row, error):
+        mesh = planar_disk_mesh(6, 9)
+        save_mesh(mesh, tmp_path / "disk.off")
+        (tmp_path / "mu.csv").write_text("face,mu1,mu2\n")
+        lines = ["vertex,x,y"] + [
+            f"{v},{mesh.vertices[v, 0]:.17g},{mesh.vertices[v, 1]:.17g}"
+            for v in mesh.boundary_vertices
+            if v != 3
+        ]
+        (tmp_path / "bnd.csv").write_text("\n".join(lines + [row]) + "\n")
+        code = run(
+            [
+                "--out-dir",
+                str(tmp_path),
+                "beltrami",
+                "--mesh",
+                str(tmp_path / "disk.off"),
+                "--mu",
+                str(tmp_path / "mu.csv"),
+                "--boundary",
+                str(tmp_path / "bnd.csv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(error)
+        assert not (tmp_path / "beltrami.csv").exists()
+
+
+def test_bad_off_line_prints_input_error_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.off"
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 x\n0 1 0\n3 0 1 2\n")
+    code = run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error: line 4:")
 
 
 class TestConfigFile:

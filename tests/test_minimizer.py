@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,72 @@ class TestMinimize:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,dirichlet,area,conformal,grad_norm,folds"
         assert len(lines) == len(report.energy_trace) + 1
+
+
+class TestDot:
+    """The minimizer's reductions: ``a @ b`` where OpenBLAS keeps one
+    thread, fixed-size blocks summed in order above that."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 5717, 8191, 8192])
+    def test_equals_matmul_up_to_the_block(self, size):
+        rng = np.random.default_rng(size)
+        a, b = rng.normal(size=(2, size))
+        assert minimizer._dot(a, b) == a @ b
+        assert minimizer._norm(a) == np.linalg.norm(a)
+
+    @pytest.mark.parametrize("size", [8193, 12417, 3 * 8192, 40000])
+    def test_sums_blocks_in_order_above_it(self, size):
+        rng = np.random.default_rng(size)
+        a, b = rng.normal(size=(2, size))
+        total = 0.0
+        for start in range(0, size, 8192):
+            total += float(a[start : start + 8192] @ b[start : start + 8192])
+        assert minimizer._dot(a, b) == total
+        assert minimizer._norm(a) == math.sqrt(minimizer._dot(a, a))
+        assert minimizer._dot(a, b) == pytest.approx(a @ b, rel=1e-12)
+
+
+class TestDiskProblem:
+    def test_flat_index_matches_row_indexing(self):
+        hemi, lap = hemi_with_laplacian(8)
+        mesh = hemi.mesh
+        problem = minimizer._DiskProblem(mesh, lap)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=2 * problem.n_int + len(mesh.boundary_vertices))
+        f, theta = problem.assemble(x)
+        assert np.array_equal(f[problem.interior].ravel(), x[: 2 * problem.n_int])
+        g = rng.normal(size=(mesh.num_vertices, 2))
+        tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
+        expected = np.concatenate(
+            [g[problem.interior].ravel(), np.sum(g[mesh.boundary_vertices] * tangent, axis=1)]
+        )
+        assert np.array_equal(problem.reduce(g, theta), expected)
+
+
+def _solve_bytes(out_dir, threads):
+    """`map.csv`, `trace.csv` and stdout of the n = 96 hemisphere solve in a
+    fresh interpreter with `threads` BLAS threads."""
+    src = os.path.dirname(os.path.dirname(minimizer.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = str(threads)
+    out_dir.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-m", "diskmap.cli", "--out-dir", str(out_dir),
+         "solve", "--n", "96", "--r", "0.9166667"],
+        env=env, capture_output=True, check=True,
+    )
+    return (out_dir / "map.csv").read_bytes(), (out_dir / "trace.csv").read_bytes(), done.stdout
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    mesh = gen_hemisphere(HemisphereSpec.from_exponent(96, 0.9166667)).mesh
+    reduced = 2 * len(mesh.interior_vertices()) + len(mesh.boundary_vertices)
+    # Long enough for OpenBLAS to split a plain `a @ b` across threads.
+    assert reduced > 10000
+    one = _solve_bytes(tmp_path / "one", 1)
+    two = _solve_bytes(tmp_path / "two", 2)
+    assert one == two
 
 
 STALL = "no step lowers the energy at double precision"
