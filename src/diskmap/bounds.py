@@ -18,7 +18,7 @@ total area) together with the face and its parameter-domain triangle:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,13 +43,11 @@ class BoundsConfig:
     total_area: float
 
     def __post_init__(self):
-        if min(
-            self.grad_lipschitz,
-            self.map_grad_lipschitz,
-            self.sigma_min,
-            self.sigma_max,
-            self.total_area,
-        ) < 0 or self.sigma_min == 0:
+        constants = {f.name: getattr(self, f.name) for f in fields(self)}
+        bad = [f"{name}={value}" for name, value in constants.items() if not math.isfinite(value)]
+        if bad:
+            raise ValueError(f"bound constants must be finite: {', '.join(bad)}")
+        if min(constants.values()) < 0 or self.sigma_min == 0:
             raise ValueError("bound constants must be positive (lipschitz may be 0)")
         if self.sigma_min > self.sigma_max:
             raise ValueError("sigma_min exceeds sigma_max")

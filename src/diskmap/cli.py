@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 numerical failure (a report is still written
-when possible) or an input file that cannot be parsed, 2 usage or I/O
-errors.  A ``ParseError`` prints as ``input error: ...`` and every
-other ``DiskmapError`` as ``numerical failure: ...``; both exit 1.  A
-``--config`` file of ``key = value`` lines overrides flags; unknown keys
-are rejected.  The ``DISKMAP_OUTDIR`` environment variable sets the
-default output root.
+when possible) or an input file that cannot be used, 2 usage or I/O
+errors, flag values outside their domain included.  Any ``DiskmapError``
+raised while reading an input file (OFF mesh, ``mu.csv``,
+``boundary.csv``) prints as ``input error: ...`` and every other one as
+``numerical failure: ...``; both exit 1.  A ``--config`` file of
+``key = value`` lines overrides flags; unknown keys are rejected.  The
+``DISKMAP_OUTDIR`` environment variable sets the default output root.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ def _minimizer_options(args):
     )
 
 
+def _read(reader, *args):
+    """Call an input-file reader; a fault it finds is the file's, so any
+    ``DiskmapError`` is re-raised as a ``ParseError``."""
+    try:
+        return reader(*args)
+    except DiskmapError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _write_map_csv(path, values):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("vertex,x,y\n")
@@ -70,8 +80,7 @@ def cmd_gen(args):
 def _load_or_generate(args):
     """Either an OFF mesh (unit weights only) or a generated hemisphere."""
     if args.mesh is not None:
-        mesh = load_mesh(args.mesh)
-        return mesh, None
+        return _read(load_mesh, args.mesh), None
     hemi = gen_hemisphere(_hemisphere_spec(args))
     return hemi.mesh, hemi
 
@@ -187,9 +196,9 @@ def cmd_converge(args):
 
 
 def cmd_beltrami(args):
-    mesh = load_mesh(args.mesh)
-    mu = read_mu_csv(args.mu, mesh.num_faces)
-    boundary = read_boundary_csv(args.boundary, mesh)
+    mesh = _read(load_mesh, args.mesh)
+    mu = _read(read_mu_csv, args.mu, mesh.num_faces)
+    boundary = _read(read_boundary_csv, args.boundary, mesh)
     solution = solve_beltrami(mesh, mu, boundary)
     root = _out_root(args)
     path = os.path.join(root, "beltrami.csv")

@@ -62,7 +62,12 @@ class SourceTerm:
 
 
 def dirac_source(mesh: TriMesh, face: int) -> SourceTerm:
-    """Source term for a derivative-of-delta point load inside `face`."""
+    """Source term for a derivative-of-delta point load inside `face`.
+
+    Raises ValueError if `face` is not in [0, F).
+    """
+    if not 0 <= face < mesh.num_faces:
+        raise ValueError(f"source face {face} is not in [0, {mesh.num_faces})")
     v_i, v_j, v_k = mesh.face_points(face)
     pairs = source_pairs(v_i, v_j, v_k)
     double_area = 2.0 * triangle_metrics(v_i, v_j, v_k).area

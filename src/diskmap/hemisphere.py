@@ -185,9 +185,14 @@ class HemisphereSpec:
 
     @classmethod
     def from_exponent(cls, n: int, r: float) -> "HemisphereSpec":
+        if n < 2:  # n^r may be complex or undefined
+            raise ValueError("need n >= 2 latitude rings")
         # Floor at 3 meridians so small-n members of slowly growing
         # families still produce valid meshes.
-        m = max(3, int(math.floor(n**r)))
+        try:
+            m = max(3, int(math.floor(n**r)))
+        except (OverflowError, ValueError):  # n^r is infinite or NaN
+            raise ValueError(f"meridian count {n}^{r} is not finite") from None
         return cls(n=int(n), m=m)
 
     @property
@@ -207,16 +212,17 @@ class HemisphereMesh:
     like the face's vertices.  Faces touching the pole get a synthetic
     apex at (mid-longitude, pi), since the pole has no unique longitude.
     ``param_cells`` holds the cells whose surface patches partition the
-    hemisphere exactly: the same triangles for ordinary faces, but the
-    full longitude-colatitude rectangle for pole faces.  ``pole_faces``
-    flags the faces containing the pole vertex.
+    hemisphere exactly, as two stacks in face order: the (F - m, 3, 2)
+    triangles of the band faces, then the (m, 4, 2) longitude-colatitude
+    rectangles of the m pole faces.  ``pole_faces`` flags the faces
+    containing the pole vertex, the last m.
     """
 
     spec: HemisphereSpec
     mesh: TriMesh
     surface: ParamSurface
     param_tris: np.ndarray
-    param_cells: list
+    param_cells: tuple[np.ndarray, np.ndarray]
     pole_faces: np.ndarray
 
     def reference_map(self) -> np.ndarray:
@@ -335,6 +341,6 @@ def gen_hemisphere(spec: HemisphereSpec) -> HemisphereMesh:
         mesh=mesh,
         surface=surface,
         param_tris=np.concatenate([band_tris, fan_tris]),
-        param_cells=[*band_tris, *fan_rects],
+        param_cells=(band_tris, fan_rects),
         pole_faces=np.arange(len(faces)) >= len(band_faces),
     )

@@ -48,25 +48,27 @@ def face_area_ratios(
     """Curved-to-flat area ratio of each face.
 
     ``unit`` returns ones.  ``quadrature`` integrates the surface area
-    element over each face's parameter cell (triangle or polygon) with a
-    fixed-order symmetric rule.  ``analytic`` calls the surface's closed
-    form patch area on the face's vertex positions.
+    element over each face's parameter cell with a fixed-order symmetric
+    rule; ``param_cells`` is a sequence of (C, k, 2) cell stacks that
+    together hold one cell per face, in face order.  ``analytic`` calls
+    the surface's closed form patch area on the face's vertex positions.
     """
     if mode == "unit":
         return np.ones(mesh.num_faces)
+    corners = mesh.face_points()
     if mode == "quadrature":
         if surface is None or param_cells is None:
             raise ValueError("quadrature mode needs a surface and parameter cells")
-        if len(param_cells) != mesh.num_faces:
+        if sum(map(len, param_cells)) != mesh.num_faces:
             raise DimensionMismatch("one parameter cell per face required")
-        patch = patch_area_quadrature(surface, param_cells, quad_order)
-        return patch / triangle_metrics(*mesh.face_points()).area
-    if mode == "analytic":
+        patch = np.concatenate([patch_area_quadrature(surface, c, quad_order) for c in param_cells])
+    elif mode == "analytic":
         if surface is None or surface.patch_area is None:
             raise ValueError("analytic mode needs a surface with patch_area")
-        corners = mesh.face_points()
-        return surface.patch_area(*corners) / triangle_metrics(*corners).area
-    raise ValueError(f"unknown area-ratio mode {mode!r}")
+        patch = surface.patch_area(*corners)
+    else:
+        raise ValueError(f"unknown area-ratio mode {mode!r}")
+    return patch / triangle_metrics(*corners).area
 
 
 def assemble_laplacian(

@@ -92,8 +92,10 @@ class MinimizerOptions:
     gradient_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
+        if not self.gradient_tolerance > 0:
+            raise ValueError(f"gradient_tolerance must be positive, got {self.gradient_tolerance}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
 
 @dataclass

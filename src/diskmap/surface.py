@@ -49,8 +49,9 @@ _build_rules()
 
 
 def triangle_rule(order: int):
-    """Barycentric points and weights of a symmetric rule exact to `order`."""
-    order = max(1, min(int(order), 5))
+    """Barycentric points and weights of a symmetric rule exact to `order`, 1 to 5."""
+    if order not in _TRI_RULES:
+        raise ValueError(f"quadrature order must be 1 to 5, got {order!r}")
     return _TRI_RULES[order]
 
 
@@ -100,33 +101,27 @@ class ParamSurface:
         return float(element) if element.ndim == 0 else element
 
 
-def patch_area_quadrature(surface: ParamSurface, cells, order: int = 3):
-    """Integrate the surface area element over parameter-domain cells.
+def patch_area_quadrature(surface: ParamSurface, cells, order: int = 3) -> np.ndarray:
+    """Integrate the surface area element over a stack of parameter cells.
 
-    `cells` is one cell or a sequence of cells.  A cell is a (3, 2)
-    triangle or a (k, 2) convex polygon, which is fan split into
-    triangles.  Returns the (signed-orientation-free) area of the surface
-    patch above the cell, a float, or above each cell, an array; the
-    area element is evaluated in one call for all cells.
+    `cells` (C, k, 2) holds C convex cells of k >= 3 corners each; every
+    cell is fan split into the triangles (0, s, s + 1), s = 1 .. k - 2.
+    Returns the (signed-orientation-free) area of the surface patch above
+    each cell, (C,); the area element is evaluated in one call for the
+    whole stack.
     """
-    single = len(cells) > 0 and np.ndim(cells[0]) == 1
-    cells = [np.asarray(c, dtype=float) for c in ([cells] if single else cells)]
-    if any(c.ndim != 2 or c.shape[0] < 3 or c.shape[1] != 2 for c in cells):
-        raise DegenerateTriangle("parameter cell must be (k, 2) with k >= 3")
-    sizes = np.array([len(c) for c in cells], dtype=int)
-    points = np.concatenate(cells) if cells else np.empty((0, 2))
-    # Fan triangle s of a cell starting at row a of `points` is
-    # (a, a + s, a + s + 1), s = 1 .. k - 2.
-    fans = sizes - 2
-    owner = np.repeat(np.arange(len(cells)), fans)
-    apex = np.repeat(np.cumsum(sizes) - sizes, fans)
-    s = np.arange(fans.sum()) - np.repeat(np.cumsum(fans) - fans, fans) + 1
-    tris = points[np.stack([apex, apex + s, apex + s + 1], axis=1)]  # (T, 3, 2)
+    cells = np.asarray(cells, dtype=float)
+    if cells.ndim != 3 or cells.shape[1] < 3 or cells.shape[2] != 2:
+        raise DegenerateTriangle("parameter cells must be (C, k, 2) with k >= 3")
+    count, k = cells.shape[:2]
+    s = np.arange(1, k - 1)
+    fan = np.stack([np.zeros_like(s), s, s + 1], axis=1)  # (k - 2, 3)
+    tris = cells[:, fan].reshape(-1, 3, 2)  # (C (k - 2), 3, 2)
     u, w = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
     area = 0.5 * np.abs(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
     bary, weights = triangle_rule(order)
     element = surface.area_element(bary @ tris)  # (T, Q)
     # bincount adds each cell's terms in triangle then point order.
     terms = (weights * element * area[:, None]).ravel()
-    total = np.bincount(np.repeat(owner, len(weights)), weights=terms, minlength=len(cells))
-    return float(total[0]) if single else total
+    owner = np.repeat(np.arange(count), (k - 2) * len(weights))
+    return np.bincount(owner, weights=terms, minlength=count)

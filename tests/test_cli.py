@@ -27,6 +27,20 @@ class TestGen:
             run(["gen", "--out", "x.off"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("n, r", [("-8", "0.5"), ("0", "-1")])
+    def test_too_few_rings_for_an_exponent_exit_2(self, tmp_path, capsys, n, r):
+        out = tmp_path / "hemi.off"
+        assert run(["gen", "--n", n, "--r", r, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need n >= 2 latitude rings\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["400", "inf"])
+    def test_meridian_count_not_finite_exit_2(self, tmp_path, capsys, r):
+        out = tmp_path / "hemi.off"
+        assert run(["gen", "--n", "8", "--r", r, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: meridian count 8^{float(r)} ")
+        assert not out.exists()
+
 
 class TestSolve:
     def test_disk_mesh_identity_boundary(self, tmp_path):
@@ -52,6 +66,30 @@ class TestSolve:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["solve", "--mesh", str(tmp_path / "nope.off")]) == 2
+
+    @pytest.mark.parametrize("face", ["999999", "-1"])
+    def test_source_face_outside_the_mesh_exit_2(self, tmp_path, capsys, face):
+        solve = ["solve", "--n", "8", "--r", "0.9166667", "--source-face", face]
+        assert run(["--out-dir", str(tmp_path), *solve]) == 2
+        assert capsys.readouterr().err == f"error: source face {face} is not in [0, 90)\n"
+        assert not (tmp_path / "map.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, error",
+        [
+            ("solve", "--quad-order", "99", "quadrature order must be 1 to 5, got 99"),
+            ("solve", "--quad-order", "0", "quadrature order must be 1 to 5, got 0"),
+            ("solve", "--grad-tol", "nan", "gradient_tolerance must be positive, got nan"),
+            ("solve", "--max-iterations", "-3", "max_iterations must be >= 0, got -3"),
+            ("bounds", "--cl", "nan", "bound constants must be finite: map_grad_lipschitz=nan"),
+        ],
+        ids=["quad-order-99", "quad-order-0", "grad-tol-nan", "max-iterations--3", "cl-nan"],
+    )
+    def test_value_outside_its_domain_exit_2(self, tmp_path, capsys, command, flag, value, error):
+        args = [command, "--n", "8", "--r", "0.9166667", flag, value]
+        assert run(["--out-dir", str(tmp_path), *args]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_map_csv_bytes(self, tmp_path):
         values = np.array([[-0.0, 5e-324], [1e300, 3.0]])
@@ -258,9 +296,9 @@ class TestBeltramiCommand:
     @pytest.mark.parametrize(
         "row, error",
         [
-            ("99999,5,5", "numerical failure: vertex 99999 is not in the mesh"),
-            ("0,0.5,0.5", "numerical failure: vertex 0 is not a boundary vertex"),
-            ("3,0.5,nan", "numerical failure: vertex 3 has the non-finite"),
+            ("99999,5,5", "input error: vertex 99999 is not in the mesh"),
+            ("0,0.5,0.5", "input error: vertex 0 is not a boundary vertex"),
+            ("3,0.5,nan", "input error: vertex 3 has the non-finite"),
         ],
     )
     def test_boundary_row_not_fitting_the_mesh_exit_1(self, tmp_path, capsys, row, error):
@@ -338,6 +376,13 @@ class TestConfigFile:
         cfg.write_text(line + "\n")
         assert run(["--config", str(cfg), "solve", "--n", "8", "--r", "0.9166667"]) == 2
         assert line.split()[0] in capsys.readouterr().err
+
+    def test_value_outside_its_domain_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("quad_order = 99\n")
+        solve = ["solve", "--n", "8", "--r", "0.9166667"]
+        assert run(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), *solve]) == 2
+        assert capsys.readouterr().err == "error: quadrature order must be 1 to 5, got 99\n"
 
     @pytest.mark.parametrize(
         "key", ["memory", "initial_step", "backtrack_factor", "no_precondition"]

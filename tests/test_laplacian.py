@@ -31,8 +31,30 @@ from diskmap import (
     triangle_metrics,
 )
 from diskmap.laplacian import FACTOR_ORDERING
+from diskmap.surface import triangle_rule
 
 from conftest import annulus_mesh, planar_disk_mesh, random_triangle
+
+
+def ragged_patch_area_quadrature(surface, cells, order=3):
+    """Reference: the patch areas of a list of cells of any sizes, each
+    fan split from its first corner, summed cell by cell in triangle then
+    point order."""
+    sizes = np.array([len(c) for c in cells], dtype=int)
+    points = np.concatenate(cells)
+    # Fan triangle s of a cell starting at row a of `points` is
+    # (a, a + s, a + s + 1), s = 1 .. k - 2.
+    fans = sizes - 2
+    owner = np.repeat(np.arange(len(cells)), fans)
+    apex = np.repeat(np.cumsum(sizes) - sizes, fans)
+    s = np.arange(fans.sum()) - np.repeat(np.cumsum(fans) - fans, fans) + 1
+    tris = points[np.stack([apex, apex + s, apex + s + 1], axis=1)]  # (T, 3, 2)
+    u, w = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    area = 0.5 * np.abs(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+    bary, weights = triangle_rule(order)
+    element = surface.area_element(bary @ tris)  # (T, Q)
+    terms = (weights * element * area[:, None]).ravel()
+    return np.bincount(np.repeat(owner, len(weights)), weights=terms, minlength=len(cells))
 
 
 def edge_weight(mesh, lap, a, b):
@@ -96,12 +118,38 @@ class TestAssembly:
         assert (ratios * areas).sum() == pytest.approx(2 * math.pi, rel=1e-5)
 
     def test_quadrature_over_cell_list_equals_per_cell_calls(self, hemi_small):
-        cells = hemi_small.param_cells  # triangles, then the pole quads
-        assert {len(c) for c in cells} == {3, 4}
-        batched = patch_area_quadrature(hemi_small.surface, cells, 4)
-        single = [patch_area_quadrature(hemi_small.surface, c, 4) for c in cells]
-        assert all(isinstance(a, float) for a in single)
-        assert np.array_equal(batched, single)
+        # a stack's areas equal those of its one-cell stacks, bit for bit
+        band, pole = hemi_small.param_cells  # triangles, then the pole quads
+        assert (band.shape[1], pole.shape[1]) == (3, 4)
+        for stack in (band, pole):
+            batched = patch_area_quadrature(hemi_small.surface, stack, 4)
+            single = [
+                patch_area_quadrature(hemi_small.surface, stack[c : c + 1], 4)
+                for c in range(len(stack))
+            ]
+            assert batched.shape == (len(stack),)
+            assert all(a.shape == (1,) for a in single)
+            assert np.array_equal(batched, np.concatenate(single))
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            HemisphereSpec.from_exponent(96, 0.9166667),
+            HemisphereSpec.from_counts(256, 4),
+            HemisphereSpec.from_counts(16, 500),
+            HemisphereSpec.from_exponent(8, 0.9166667),
+        ],
+        ids=["n96-r0.9166667", "n256-m4", "n16-m500", "n8-r0.9166667"],
+    )
+    def test_quadrature_ratios_equal_per_cell_list_oracle(self, spec, order):
+        hemi = gen_hemisphere(spec)
+        mesh = hemi.mesh
+        cells = [*hemi.param_cells[0], *hemi.param_cells[1]]
+        expected = ragged_patch_area_quadrature(hemi.surface, cells, order)
+        expected /= triangle_metrics(*mesh.face_points()).area
+        ratios = face_area_ratios(mesh, "quadrature", hemi.surface, hemi.param_cells, order)
+        assert np.array_equal(ratios, expected)
 
     def test_quadrature_ratios_tend_to_one_off_the_pole(self):
         worst = []

@@ -202,7 +202,8 @@ class TestTriMesh:
 
 def loop_built_hemisphere(n, m):
     """The structured hemisphere built one vertex and one face at a time:
-    vertices, faces, parameter triangles, parameter cells, pole flags."""
+    vertices, faces, parameter triangles, the band faces' triangles, the
+    pole faces' rectangles, pole flags."""
     phi = lambda i: 2.0 * math.pi * i / m  # noqa: E731
     psi = lambda j: 0.5 * math.pi + 0.5 * math.pi * j / n  # noqa: E731
     vid = lambda i, j: 1 + j * m + (i % m)  # noqa: E731
@@ -211,7 +212,7 @@ def loop_built_hemisphere(n, m):
         for i in range(m):
             s = math.sin(psi(j))
             vertices.append([math.cos(phi(i)) * s, math.sin(phi(i)) * s, math.cos(psi(j))])
-    faces, tris, cells, pole = [], [], [], []
+    faces, tris, band, rects, pole = [], [], [], [], []
     for j in range(n - 1):
         for i in range(m):
             a, b = (phi(i + 1), psi(j)), (phi(i + 1), psi(j + 1))
@@ -219,30 +220,30 @@ def loop_built_hemisphere(n, m):
             faces += [(vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)),
                       (vid(i + 1, j), vid(i, j + 1), vid(i, j))]
             tris += [[a, b, c], [a, c, d]]
-            cells += [[a, b, c], [a, c, d]]
+            band += [[a, b, c], [a, c, d]]
             pole += [False, False]
     last = psi(n - 1)
     for i in range(m):
         faces.append((0, vid(i, n - 1), vid(i + 1, n - 1)))
         tris.append([(0.5 * (phi(i) + phi(i + 1)), math.pi), (phi(i), last), (phi(i + 1), last)])
-        cells.append([(phi(i), last), (phi(i + 1), last), (phi(i + 1), math.pi), (phi(i), math.pi)])
+        rects.append([(phi(i), last), (phi(i + 1), last), (phi(i + 1), math.pi), (phi(i), math.pi)])
         pole.append(True)
-    return np.array(vertices), np.array(faces), np.array(tris), cells, np.array(pole)
+    return tuple(map(np.array, (vertices, faces, tris, band, rects, pole)))
 
 
 class TestHemisphere:
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 7), (8, 6), (5, 3), (16, 13)])
     def test_equals_loop_built_mesh(self, n, m):
-        vertices, faces, tris, cells, pole = loop_built_hemisphere(n, m)
+        vertices, faces, tris, band, rects, pole = loop_built_hemisphere(n, m)
         hemi = gen_hemisphere(HemisphereSpec.from_counts(n, m))
         # numpy's and math's sin/cos may differ in the last bit
         np.testing.assert_allclose(hemi.mesh.vertices, vertices, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(hemi.mesh.faces, faces)
         np.testing.assert_array_equal(hemi.param_tris, tris)
         assert hemi.param_tris.shape == (hemi.mesh.num_faces, 3, 2)
-        assert len(hemi.param_cells) == len(cells)
-        for cell, expected in zip(hemi.param_cells, cells):
-            np.testing.assert_array_equal(cell, expected)
+        assert len(hemi.param_cells) == 2
+        np.testing.assert_array_equal(hemi.param_cells[0], band)
+        np.testing.assert_array_equal(hemi.param_cells[1], rects)
         np.testing.assert_array_equal(hemi.pole_faces, pole)
 
     def test_paper_resolution_counts(self, hemi_paper):
@@ -306,9 +307,14 @@ class TestHemisphere:
         assert np.linalg.norm(flat, axis=1).max() <= 1 + 1e-12
 
     def test_param_cells_cover_chart(self, hemi_paper):
-        # pole faces carry the wedge rectangle, others their own triangle
-        for cell, is_pole in zip(hemi_paper.param_cells, hemi_paper.pole_faces):
-            assert cell.shape == ((4, 2) if is_pole else (3, 2))
+        # band faces carry their own triangle, then the pole faces, the
+        # last m, their wedge rectangle
+        band, rects = hemi_paper.param_cells
+        m, faces = hemi_paper.spec.m, hemi_paper.mesh.num_faces
+        assert band.shape == (faces - m, 3, 2)
+        assert rects.shape == (m, 4, 2)
+        np.testing.assert_array_equal(hemi_paper.pole_faces, np.arange(faces) >= faces - m)
+        np.testing.assert_array_equal(band, hemi_paper.param_tris[: faces - m])
 
     def test_surface_gradient_matches_finite_differences(self, hemi_small):
         surface = hemi_small.surface
