@@ -3,13 +3,6 @@ with computable error bounds and triangulation-quality diagnostics."""
 
 __version__ = "0.1.0"
 
-from .barycentric import (
-    ProjectionFrame,
-    ProjectionResult,
-    barycentric_coords,
-    project_to_plane,
-    projection_frame,
-)
 from .beltrami import (
     BeltramiCoefficient,
     BeltramiSystem,
@@ -45,7 +38,6 @@ from .errors import (
     NearPole,
     NonFiniteVertex,
     NonFiniteWeight,
-    OffPlane,
     ParseError,
     SingularBeyondGauge,
     SingularSystem,
@@ -86,7 +78,6 @@ from .laplacian import (
     assemble_laplacian,
     conformal_energy,
     dirichlet_energy,
-    dirichlet_energy_edge_sum,
     energy_gradient,
     face_area_ratios,
     face_image_areas,
@@ -94,7 +85,15 @@ from .laplacian import (
     per_triangle_dirichlet,
     per_triangle_dirichlet_matrix,
 )
-from .mesh import TriangleGeom, TriMesh, load_mesh, save_mesh, triangle_metrics
+from .mesh import (
+    ProjectionFrame,
+    TriangleGeom,
+    TriMesh,
+    load_mesh,
+    projection_frame,
+    save_mesh,
+    triangle_metrics,
+)
 from .minimizer import (
     MinimizerOptions,
     SolveReport,

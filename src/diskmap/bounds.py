@@ -274,7 +274,6 @@ class TriangleQuality:
     diam_over_sin: np.ndarray
     diam_over_inradius: np.ndarray
     param_diam: np.ndarray | None = None
-    param_min_angle: np.ndarray | None = None
     param_area: np.ndarray | None = None
 
     @property
@@ -294,14 +293,13 @@ def quality_report(mesh: TriMesh, param_tris=None) -> TriangleQuality:
     """Shape diagnostics for every face (and parameter triangle)."""
     geom = triangle_metrics(*mesh.face_points())
     min_angle = geom.angles.min(axis=1)
-    pd = pa = pm = None
+    pd = pa = None
     if param_tris is not None:
         if len(param_tris) != mesh.num_faces:
             raise DegenerateTriangle("one parameter triangle per face required")
         p = np.asarray(param_tris, dtype=float).reshape(-1, 3, 2)
         param = triangle_metrics(p[:, 0], p[:, 1], p[:, 2])
         pd = param.diameter
-        pm = param.angles.min(axis=1)
         pa = param.area
     return TriangleQuality(
         diam=geom.diameter,
@@ -309,7 +307,6 @@ def quality_report(mesh: TriMesh, param_tris=None) -> TriangleQuality:
         diam_over_sin=geom.diameter / np.sin(min_angle),
         diam_over_inradius=geom.diameter / geom.inradius,
         param_diam=pd,
-        param_min_angle=pm,
         param_area=pa,
     )
 
@@ -337,8 +334,12 @@ def scan_degraded_faces(
     With sorted edge lengths a <= b <= c, a face is flagged when
     a / c <= short_ratio and |b / c - 1| <= near_equal.  This is the
     degradation pattern that thin Delaunay triangulations develop as the
-    smallest angle collapses.
+    smallest angle collapses.  Both thresholds must be finite and >= 0.
     """
+    thresholds = {"short_ratio": short_ratio, "near_equal": near_equal}
+    bad = [f"{k}={v}" for k, v in thresholds.items() if not (math.isfinite(v) and v >= 0)]
+    if bad:
+        raise ValueError(f"degraded-face thresholds must be finite and >= 0: {', '.join(bad)}")
     lengths = np.sort(triangle_metrics(*mesh.face_points()).edge_lengths, axis=1)
     short = lengths[:, 0] / lengths[:, 2]
     mid = lengths[:, 1] / lengths[:, 2]

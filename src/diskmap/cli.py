@@ -26,7 +26,7 @@ from .experiments import DEFAULT_N_GRID, emit_report, fit_exponent, run_sweep
 from .harmonic import disk_initial_guess, face_nearest
 from .hemisphere import HemisphereSpec, gen_hemisphere
 from .laplacian import assemble_laplacian, dirichlet_energy
-from .mesh import load_mesh, save_mesh
+from .mesh import load_mesh, require_disk, save_mesh
 from .minimizer import MinimizerOptions, minimize
 
 USAGE_ERROR = 2
@@ -88,6 +88,7 @@ def _load_or_generate(args):
 def cmd_solve(args):
     mesh, hemi = _load_or_generate(args)
     if hemi is None:
+        _read(require_disk, mesh)
         laplacian = assemble_laplacian(mesh, rho_mode="unit")
         source = face_nearest(mesh, mesh.vertices.mean(axis=0))
     else:

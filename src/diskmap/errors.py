@@ -38,10 +38,6 @@ class NonFiniteWeight(DiskmapError):
     """A Laplacian weight evaluated to NaN or infinity."""
 
 
-class OffPlane(DiskmapError):
-    """Query point is too far from the triangle plane."""
-
-
 class ParseError(DiskmapError):
     """An input file (OFF mesh, Beltrami CSV) could not be parsed.
 

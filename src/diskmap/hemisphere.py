@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NearPole
-from .mesh import TriMesh, dot
+from .mesh import TriMesh, dot, projection_frame
 from .surface import ParamSurface
 
 # Lipschitz constant of the chart gradient: the second-derivative tensor
@@ -28,6 +28,11 @@ GRAD_LIPSCHITZ = math.sqrt(2.0)
 SIGMA_MAX = math.sqrt(2.0)
 
 HEMISPHERE_AREA = 2.0 * math.pi
+
+# Largest hemisphere gen_hemisphere builds: about 900 times the 10 881
+# vertices of the finest mesh any test or benchmark uses.  Its vertex
+# and face arrays alone take about 0.7 GB.
+MAX_VERTICES = 10**7
 
 _NEAR_POLE_TOL = 1e-12
 _SPHERE_TOL = 1e-9
@@ -167,7 +172,8 @@ class HemisphereSpec:
     """Resolution of the structured hemisphere mesh.
 
     ``n`` latitude rings (colatitude steps of pi/(2n)) and ``m``
-    meridians; the mesh has m*n + 1 vertices including the pole.
+    meridians; the mesh has m*n + 1 vertices including the pole, at most
+    :data:`MAX_VERTICES`.
     """
 
     n: int
@@ -178,6 +184,11 @@ class HemisphereSpec:
             raise ValueError("need n >= 2 latitude rings")
         if self.m < 3:
             raise ValueError("need m >= 3 meridians")
+        if self.vertex_count > MAX_VERTICES:
+            raise ValueError(
+                f"{self.m} meridians x {self.n} rings give {self.vertex_count} "
+                f"vertices, more than {MAX_VERTICES}"
+            )
 
     @classmethod
     def from_counts(cls, n: int, m: int) -> "HemisphereSpec":
@@ -198,10 +209,6 @@ class HemisphereSpec:
     @property
     def vertex_count(self) -> int:
         return self.m * self.n + 1
-
-    @property
-    def face_count(self) -> int:
-        return self.m * (2 * self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -256,18 +263,12 @@ class HemisphereMesh:
             )
         corners = self.mesh.vertices[self.mesh.faces]           # (F, 3, 3)
         values = f[self.mesh.faces]                             # (F, 3, 2)
-        normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-        double_area = np.linalg.norm(normal, axis=1)
-        normal /= double_area[:, None]
-        # Hat gradient of corner i: the normal crossed with its opposite
-        # edge (from corner i + 1 to corner i - 1), over twice the area.
-        opposite = np.roll(corners, 1, axis=1) - np.roll(corners, -1, axis=1)
-        hats = np.cross(normal[:, None, :], opposite) / double_area[:, None, None]
-        discrete = np.einsum("fic,fid->fcd", values, hats)      # (F, 2, 3)
-        tangent = np.eye(3) - normal[:, :, None] * normal[:, None, :]
+        frame = projection_frame(*self.mesh.face_points())
+        discrete = np.einsum("fic,fid->fcd", values, frame.hat_gradients)  # (F, 2, 3)
+        tangent = np.eye(3) - frame.normal[:, :, None] * frame.normal[:, None, :]
         points = np.einsum("qi,fid->fqd", _FACE_RULE, corners)  # (F, 3, 3)
         exact = _radial_stereographic_jacobian(points) @ tangent[:, None]
-        weight = (double_area / 6.0)[:, None]                   # area / 3
+        weight = (frame.area / 3.0)[:, None]
         err = np.sum(weight * np.sum((exact - discrete[:, None]) ** 2, axis=(2, 3)))
         norm = np.sum(weight * np.sum(exact**2, axis=(2, 3)))
         return float(np.sqrt(err / norm))

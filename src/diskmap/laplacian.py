@@ -17,9 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .barycentric import projection_frame
 from .errors import DimensionMismatch, NonFiniteWeight
-from .mesh import TriangleGeom, TriMesh, triangle_metrics
+from .mesh import TriangleGeom, TriMesh, projection_frame, triangle_metrics
 from .surface import ParamSurface, patch_area_quadrature
 
 
@@ -139,13 +138,6 @@ def dirichlet_energy(laplacian: CotanLaplacian, f) -> float:
     """0.5 <L f, f> over both target coordinates."""
     f = as_vertex_map(f, laplacian.size)
     return 0.5 * float(np.sum(f * (laplacian.matrix @ f)))
-
-
-def dirichlet_energy_edge_sum(laplacian: CotanLaplacian, f) -> float:
-    """Same energy via 0.5 * sum_e w_e |f_i - f_j|^2 (assembly oracle)."""
-    f = as_vertex_map(f, laplacian.size)
-    d = f[laplacian.edges[:, 0]] - f[laplacian.edges[:, 1]]
-    return 0.5 * float(np.sum(laplacian.weights * np.sum(d * d, axis=1)))
 
 
 def per_triangle_dirichlet(f_i, f_j, f_k, geom: TriangleGeom, rho: float = 1.0) -> float:

@@ -168,6 +168,18 @@ class TriMesh:
         return self.vertices[f[..., 0]], self.vertices[f[..., 1]], self.vertices[f[..., 2]]
 
 
+def require_disk(mesh: TriMesh):
+    """Raise ``InvalidTopology`` unless `mesh` is a topological disk: one
+    boundary loop and V - E + F = 1."""
+    loops = len(mesh.boundary_loops())
+    euler = mesh.num_vertices - len(mesh.edges) + mesh.num_faces
+    if loops != 1 or euler != 1:
+        raise InvalidTopology(
+            f"disk mapping needs a topological disk (1 boundary loop, "
+            f"V - E + F = 1); mesh has {loops} boundary loops, V - E + F = {euler}"
+        )
+
+
 def first_offender(mask) -> tuple[str, int]:
     """Message prefix and flat index of the first True entry of `mask`.
 
@@ -282,6 +294,48 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
         inradius=inradius,
         normal=normal,
         orientation=orientation,
+    )
+
+
+@dataclass(frozen=True)
+class ProjectionFrame:
+    """Hat-function frame of one triangle, or of a stack of triangles.
+
+    ``rotated_edges`` (3, m) holds s_i, s_j, s_k, the edge opposite each
+    corner crossed with the normal; ``hat_gradients`` (3, m) divides them
+    by twice the area, which gives the in-plane gradients of the
+    barycentric coordinates, a dual basis to the edges.  ``normal`` is a
+    3-vector: the triangle's unit normal, or (0, 0, orientation) for a
+    2-d triangle.  For a stack of shape S every field gains the leading
+    shape S, and ``area`` is an array of shape S.
+    """
+
+    rotated_edges: np.ndarray
+    hat_gradients: np.ndarray
+    normal: np.ndarray
+    area: float | np.ndarray
+
+
+def projection_frame(v_i, v_j, v_k) -> ProjectionFrame:
+    """Build the :class:`ProjectionFrame` of the triangle (v_i, v_j, v_k).
+
+    Takes points (m,) or stacks (*S, m) like :func:`triangle_metrics`,
+    whose normal and area it uses, and raises its ``DegenerateTriangle``.
+    """
+    geom = triangle_metrics(v_i, v_j, v_k)
+    v_i, v_j, v_k = (np.asarray(v, dtype=float) for v in (v_i, v_j, v_k))
+    opposite = np.stack([v_j - v_k, v_k - v_i, v_i - v_j], axis=-2)
+    if geom.normal is None:
+        # e x (0, 0, o) is the quarter turn o (e_y, -e_x).
+        o = np.asarray(geom.orientation, dtype=float)
+        normal = np.stack([np.zeros_like(o), np.zeros_like(o), o], axis=-1)
+        rotated = np.stack([opposite[..., 1], -opposite[..., 0]], axis=-1) * o[..., None, None]
+    else:
+        normal = geom.normal
+        rotated = np.cross(opposite, normal[..., None, :])
+    hats = rotated / (2.0 * np.asarray(geom.area))[..., None, None]
+    return ProjectionFrame(
+        rotated_edges=rotated, hat_gradients=hats, normal=normal, area=geom.area
     )
 
 

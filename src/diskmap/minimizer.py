@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidTopology, ZeroReference
+from .errors import DimensionMismatch, ZeroReference
 from .laplacian import (
     ConformalEnergy,
     CotanLaplacian,
@@ -36,7 +36,7 @@ from .laplacian import (
     face_image_areas,
     factorize,
 )
-from .mesh import TriMesh
+from .mesh import TriMesh, require_disk
 
 _BOUNDARY_SLACK = 0.1
 _ARMIJO = 1e-4
@@ -221,17 +221,11 @@ def minimize(
     plain preconditioned one has a trial step that lowers the energy
     (see :class:`SolveReport` for the messages).
 
-    Raises ``InvalidTopology`` unless the mesh is a topological disk: one
-    boundary loop and V - E + F = 1.
+    Raises ``InvalidTopology`` unless the mesh is a topological disk (see
+    :func:`~diskmap.mesh.require_disk`).
     """
     options = options or MinimizerOptions()
-    loops = len(mesh.boundary_loops())
-    euler = mesh.num_vertices - len(mesh.edges) + mesh.num_faces
-    if loops != 1 or euler != 1:
-        raise InvalidTopology(
-            f"disk mapping needs a topological disk (1 boundary loop, "
-            f"V - E + F = 1); mesh has {loops} boundary loops, V - E + F = {euler}"
-        )
+    require_disk(mesh)
     init = as_vertex_map(init, mesh.num_vertices)
     boundary = mesh.boundary_vertices
     radii = np.linalg.norm(init[boundary], axis=1)

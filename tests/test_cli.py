@@ -82,8 +82,35 @@ class TestSolve:
             ("solve", "--grad-tol", "nan", "gradient_tolerance must be positive, got nan"),
             ("solve", "--max-iterations", "-3", "max_iterations must be >= 0, got -3"),
             ("bounds", "--cl", "nan", "bound constants must be finite: map_grad_lipschitz=nan"),
+            (
+                "solve",
+                "--m",
+                "3000000000",
+                "3000000000 meridians x 8 rings give 24000000001 vertices, more than 10000000",
+            ),
+            (
+                "quality",
+                "--short-ratio",
+                "nan",
+                "degraded-face thresholds must be finite and >= 0: short_ratio=nan",
+            ),
+            (
+                "quality",
+                "--near-equal",
+                "-5",
+                "degraded-face thresholds must be finite and >= 0: near_equal=-5.0",
+            ),
         ],
-        ids=["quad-order-99", "quad-order-0", "grad-tol-nan", "max-iterations--3", "cl-nan"],
+        ids=[
+            "quad-order-99",
+            "quad-order-0",
+            "grad-tol-nan",
+            "max-iterations--3",
+            "cl-nan",
+            "m-3000000000",
+            "short-ratio-nan",
+            "near-equal--5",
+        ],
     )
     def test_value_outside_its_domain_exit_2(self, tmp_path, capsys, command, flag, value, error):
         args = [command, "--n", "8", "--r", "0.9166667", flag, value]
@@ -114,7 +141,9 @@ class TestSolve:
         path = tmp_path / "annulus.off"
         save_mesh(annulus_mesh(), path)
         assert run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)]) == 1
-        assert "2 boundary loops" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("input error: disk mapping needs a topological disk")
+        assert "2 boundary loops" in err
         assert not (tmp_path / "map.csv").exists()
 
     def test_non_finite_vertex_exit_1(self, tmp_path, capsys):
@@ -143,6 +172,13 @@ class TestQuality:
     def test_hemisphere_quality(self, tmp_path):
         assert run(["--out-dir", str(tmp_path), "quality", "--n", "8", "--m", "27"]) == 0
         assert (tmp_path / "quality.csv").exists()
+
+    def test_non_disk_mesh_accepted(self, tmp_path):
+        # Shape diagnostics need no disk topology; only solve checks it.
+        path = tmp_path / "annulus.off"
+        save_mesh(annulus_mesh(), path)
+        assert run(["--out-dir", str(tmp_path), "quality", "--mesh", str(path)]) == 0
+        assert len((tmp_path / "quality.csv").read_text().splitlines()) == 2 * 24 + 2
 
 
 class TestBounds:

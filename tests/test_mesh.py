@@ -13,12 +13,17 @@ from diskmap import (
     TriMesh,
     gen_hemisphere,
     load_mesh,
+    projection_frame,
     save_mesh,
     stereographic_project,
     triangle_metrics,
 )
 
+from diskmap.hemisphere import MAX_VERTICES
+
 from conftest import annulus_mesh, random_triangle
+
+RIGHT = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
 class TestTriangleMetrics:
@@ -106,6 +111,12 @@ class TestTriangleMetrics:
                 assert stacked.normal is None and one.normal is None
                 u, w = tri[1] - tri[0], tri[2] - tri[0]
                 assert one.orientation == np.sign(u[0] * w[1] - u[1] * w[0])
+        frames = projection_frame(pts[:, 0], pts[:, 1], pts[:, 2])
+        for t, tri in enumerate(pts):
+            one = projection_frame(*tri)
+            for field in ("rotated_edges", "hat_gradients", "normal"):
+                assert np.array_equal(getattr(frames, field)[t], getattr(one, field))
+            assert frames.area[t] == one.area and isinstance(one.area, float)
 
     def test_stack_names_first_degenerate_face(self):
         rng = np.random.default_rng(12)
@@ -114,6 +125,62 @@ class TestTriangleMetrics:
             pts[t, 2] = 2.0 * pts[t, 1] - pts[t, 0]  # collinear corners
         with pytest.raises(DegenerateTriangle, match="^face 3: "):
             triangle_metrics(pts[:, 0], pts[:, 1], pts[:, 2])
+
+
+class TestProjectionFrame:
+    def test_unit_right_triangle_first_gradient(self):
+        frame = projection_frame(*RIGHT)
+        assert np.allclose(frame.hat_gradients[0], [-1.0, -1.0], atol=1e-14)
+
+    def test_gradients_sum_to_zero(self):
+        rng = np.random.default_rng(1)
+        for dim in (2, 3):
+            for _ in range(50):
+                frame = projection_frame(*random_triangle(rng, dim))
+                assert np.allclose(frame.hat_gradients.sum(axis=0), 0.0, atol=1e-12)
+
+    def test_scaling_inverts_gradients(self):
+        rng = np.random.default_rng(2)
+        pts = random_triangle(rng, 3)
+        t = 3.7
+        base = projection_frame(*pts)
+        scaled = projection_frame(*(t * pts))
+        assert np.allclose(scaled.hat_gradients, base.hat_gradients / t, rtol=1e-12)
+
+    def test_dual_basis_pattern(self):
+        # <b_ell, v_a - v_base(ell)> is 1 at a = ell, 0 at the other corner
+        rng = np.random.default_rng(3)
+        for dim in (2, 3):
+            pts = random_triangle(rng, dim)
+            frame = projection_frame(*pts)
+            bases = (pts[1], pts[2], pts[0])  # v_j, v_k, v_i respectively
+            for ell in range(3):
+                for a in range(3):
+                    expected = 1.0 if a == ell else 0.0
+                    got = frame.hat_gradients[ell] @ (pts[a] - bases[ell])
+                    if np.allclose(pts[a], bases[ell]):
+                        continue
+                    assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_gradients_orthogonal_to_normal(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            pts = random_triangle(rng, 3)
+            frame = projection_frame(*pts)
+            for b in frame.hat_gradients:
+                assert abs(b @ frame.normal) <= 1e-12 * np.linalg.norm(b)
+
+    def test_rotated_edges_match_lengths(self):
+        rng = np.random.default_rng(5)
+        pts = random_triangle(rng, 3)
+        frame = projection_frame(*pts)
+        opposite = [pts[1] - pts[2], pts[2] - pts[0], pts[0] - pts[1]]
+        for s, e in zip(frame.rotated_edges, opposite):
+            assert np.linalg.norm(s) == pytest.approx(np.linalg.norm(e), rel=1e-12)
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(DegenerateTriangle):
+            projection_frame([0.0, 0.0], [1.0, 0.0], [2.0, 0.0])
 
 
 class TestTriMesh:
@@ -258,6 +325,9 @@ class TestHemisphere:
         with pytest.raises(ValueError):
             HemisphereSpec.from_counts(1, 9)
         assert HemisphereSpec.from_exponent(8, 0.25).m == 3  # floored
+        # 8^30 meridians is finite but over the vertex cap.
+        with pytest.raises(ValueError, match=f"more than {MAX_VERTICES}$"):
+            HemisphereSpec.from_exponent(8, 30)
 
     def test_pole_edge_lengths(self, hemi_paper):
         n, m = 8, 27
