@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import __version__
 from .beltrami import read_boundary_csv, read_mu_csv, solve_beltrami
 from .bounds import BoundsConfig, build_bound_report, quality_csv, quality_report, scan_degraded_faces
 from .errors import DiskmapError, ParseError
-from .experiments import DEFAULT_N_GRID, emit_report, fit_exponent, run_sweep
+from .experiments import DEFAULT_N_GRID, emit_report, fit_exponent, run_sweep, sweep_workers
 from .harmonic import disk_initial_guess, face_nearest
 from .hemisphere import HemisphereSpec, gen_hemisphere
 from .laplacian import assemble_laplacian, dirichlet_energy
@@ -166,6 +167,7 @@ def cmd_bounds(args):
 
 
 def cmd_converge(args):
+    start = time.perf_counter()
     rows = run_sweep(
         args.r,
         args.n_list,
@@ -173,6 +175,7 @@ def cmd_converge(args):
         rho_mode=args.rho,
         quad_order=args.quad_order,
     )
+    total = time.perf_counter() - start
     fit = None
     try:
         fit = fit_exponent(rows)
@@ -184,6 +187,8 @@ def cmd_converge(args):
         f"sweep_r{args.r:g}_n{args.n_list[0]}-{args.n_list[-1]}_{args.rho}",
     )
     paths = emit_report(rows, fit, run_dir)
+    with open(paths["timing"], "a", encoding="utf-8") as fh:
+        fh.write(f"workers={sweep_workers(len(rows))} total_wall_time={total:.3f}s\n")
     for row in rows:
         print(
             f"n={row.n} m={row.m} h={row.h:.4g} err={row.rel_error:.6g} "

@@ -11,7 +11,9 @@ kept on the rows but never written into the deterministic outputs.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -144,6 +146,41 @@ def solve_hemisphere_case(
     )
 
 
+def sweep_workers(row_count: int) -> int:
+    """Number of processes that solve a sweep of `row_count` rows: one per
+    CPU this process may use (``os.sched_getaffinity``, else
+    ``os.cpu_count``), at most one per row, and 1 where ``fork`` is
+    unavailable."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, row_count))
+
+
+def _sweep_row(spec, options, rho_mode, quad_order) -> ConvergenceRow:
+    """One sweep row; a DiskmapError becomes a NaN row with ``converged``
+    False."""
+    try:
+        return solve_hemisphere_case(spec, options, rho_mode, quad_order).row
+    except DiskmapError:
+        return ConvergenceRow(
+            n=spec.n,
+            m=spec.m,
+            h=math.nan,
+            max_diam_over_sin=math.nan,
+            energy_solution=math.nan,
+            energy_reference=math.nan,
+            rel_error=math.nan,
+            iterations=0,
+            fold_count=0,
+            converged=False,
+            wall_time=0.0,
+        )
+
+
 def run_sweep(
     r: float,
     n_values,
@@ -153,35 +190,45 @@ def run_sweep(
 ) -> list[ConvergenceRow]:
     """Solve the m = max(3, floor(n^r)) family over increasing n.
 
-    A failed solve records its row with ``converged`` False instead of
-    aborting the sweep.  Rows come back in input order.
+    Every row's spec is built first, so an invalid one raises before any
+    row is solved.  With :func:`sweep_workers` k > 1, the largest row is
+    solved in this process while a forked pool of k - 1 workers solves the
+    others, largest first; the rows are independent, so the results do
+    not depend on k.  A failed solve records its row with ``converged``
+    False instead of aborting the sweep.  Rows come back in input order.
     """
     n_values = [int(n) for n in n_values]
     if any(n < 4 for n in n_values):
         raise ValueError("sweep requires n >= 4")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("sweep requires strictly increasing n values")
-
-    def one(n):
-        spec = HemisphereSpec.from_exponent(n, r)
-        try:
-            return solve_hemisphere_case(spec, options, rho_mode, quad_order).row
-        except DiskmapError:
-            return ConvergenceRow(
-                n=spec.n,
-                m=spec.m,
-                h=math.nan,
-                max_diam_over_sin=math.nan,
-                energy_solution=math.nan,
-                energy_reference=math.nan,
-                rel_error=math.nan,
-                iterations=0,
-                fold_count=0,
-                converged=False,
-                wall_time=0.0,
-            )
-
-    return [one(n) for n in n_values]
+    specs = [HemisphereSpec.from_exponent(n, r) for n in n_values]
+    solve = functools.partial(
+        _sweep_row, options=options, rho_mode=rho_mode, quad_order=quad_order
+    )
+    workers = sweep_workers(len(specs))
+    if workers == 1:
+        return [solve(spec) for spec in specs]
+    # fork, not spawn: a spawned worker imports numpy and scipy again, which
+    # takes about as long as the whole default sweep.  Leaving the block
+    # terminates and joins the workers, also when a row raises, so no
+    # process outlives the sweep.
+    running = set(multiprocessing.active_children())
+    with multiprocessing.get_context("fork").Pool(workers - 1) as pool:
+        pool_workers = set(multiprocessing.active_children()) - running
+        others = pool.map_async(solve, specs[-2::-1], chunksize=1)
+        largest = solve(specs[-1])
+        # A pool replaces a worker that dies (killed, out of memory) but
+        # never finishes that worker's row, so waiting alone would hang.
+        while not others.ready():
+            for worker in pool_workers:
+                if worker.exitcode is not None:
+                    raise ChildProcessError(
+                        f"sweep worker {worker.pid} exited with code "
+                        f"{worker.exitcode} before its rows were solved"
+                    )
+            others.wait(0.05)
+        return others.get()[::-1] + [largest]
 
 
 DEFAULT_N_GRID = (8, 12, 16, 24, 32, 48, 64)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,9 @@ class TestConverge:
         runs = list(tmp_path.glob("sweep_*/sweep.csv"))
         assert len(runs) == 1
         assert len(runs[0].read_text().splitlines()) == 3
+        timing = (runs[0].parent / "timing.log").read_text().splitlines()
+        assert [line.split()[0] for line in timing[:2]] == ["n=4", "n=6"]
+        assert re.fullmatch(r"workers=[12] total_wall_time=\d+\.\d{3}s", timing[2])
 
     def test_equal_h_writes_no_fit(self, tmp_path):
         # m = 3 for every n here, so every row has h = sqrt(3)

@@ -1,4 +1,10 @@
 import math
+import multiprocessing
+import os
+import pathlib
+import signal
+import time
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ import pytest
 from diskmap import (
     ConvergenceRow,
     DimensionMismatch,
+    DiskmapError,
     HemisphereSpec,
     InsufficientData,
     MinimizerOptions,
@@ -16,6 +23,7 @@ from diskmap import (
     solve_hemisphere_case,
     stereographic_project,
 )
+from diskmap import experiments
 
 FAST = MinimizerOptions(gradient_tolerance=1e-6, max_iterations=1500)
 
@@ -36,6 +44,23 @@ def synthetic_row(h, err, **overrides):
     )
     fields.update(overrides)
     return ConvergenceRow(**fields)
+
+
+def _fake_case(failures, delays=None):
+    """A stand-in for solve_hemisphere_case: rows whose n is in `failures`
+    raise that exception; the others sleep for their n's entry in `delays`
+    and record the solving process's pid as `iterations`.  Forked workers
+    inherit it through the module attribute."""
+
+    def solve(spec, *args):
+        if spec.n in failures:
+            raise failures[spec.n]
+        time.sleep((delays or {}).get(spec.n, 0.0))
+        return types.SimpleNamespace(
+            row=synthetic_row(1.0 / spec.n, 0.1, n=spec.n, m=spec.m, iterations=os.getpid())
+        )
+
+    return solve
 
 
 class TestFitExponent:
@@ -208,6 +233,102 @@ class TestRunSweep:
         refs = [row.energy_reference for row in rows]
         assert sols[0] > sols[-1] > 0
         assert refs[0] > refs[-1] > 0
+
+    def test_invalid_row_raises_before_any_solve(self, monkeypatch):
+        calls = []
+
+        def record(spec, *args):
+            calls.append(spec.n)
+            return _fake_case({})(spec)
+
+        monkeypatch.setattr(experiments, "solve_hemisphere_case", record)
+        with pytest.raises(ValueError, match="more than 10000000"):
+            run_sweep(1, [8, 16, 5000000])
+        assert calls == []
+        assert multiprocessing.active_children() == []
+
+    def test_worker_count_does_not_change_the_report(self, monkeypatch, tmp_path):
+        # Two CPUs even on a one-CPU host, so the pool path always runs.
+        results = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            assert experiments.sweep_workers(4) == len(cpus)
+            rows = run_sweep(0.9166667, (8, 12, 16, 24))
+            paths = emit_report(rows, fit_exponent(rows), tmp_path / str(len(cpus)))
+            files = {
+                kind: pathlib.Path(path).read_bytes()
+                for kind, path in paths.items()
+                if kind != "timing"
+            }
+            fields = [{**vars(row), "wall_time": None} for row in rows]
+            results.append((fields, files))
+        assert results[0] == results[1]
+        assert set(results[0][1]) == {"sweep", "error", "energy", "fit"}
+
+
+class TestSweepWorkers:
+    """Rows 8 and 12 go to the forked worker, the largest row, 16, stays
+    in the calling process; no worker outlives the sweep."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("sweep still waiting after 30 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(30)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_largest_row_in_process_the_others_in_a_worker(self, monkeypatch):
+        monkeypatch.setattr(experiments, "solve_hemisphere_case", _fake_case({}))
+        rows = run_sweep(1, [8, 12, 16])
+        assert [row.n for row in rows] == [8, 12, 16]
+        assert rows[0].iterations == rows[1].iterations != os.getpid()
+        assert rows[2].iterations == os.getpid()
+
+    def test_worker_diskmap_error_gives_the_nan_row(self, monkeypatch):
+        failures = {8: DiskmapError("no map")}
+        monkeypatch.setattr(experiments, "solve_hemisphere_case", _fake_case(failures))
+        rows = run_sweep(1, [8, 12, 16])
+        assert [row.n for row in rows] == [8, 12, 16]
+        assert math.isnan(rows[0].rel_error) and not rows[0].converged
+        assert rows[1].converged and rows[2].converged
+
+    def test_worker_crash_raises(self, monkeypatch):
+        failures = {12: RuntimeError("worker row")}
+        monkeypatch.setattr(experiments, "solve_hemisphere_case", _fake_case(failures))
+        with pytest.raises(RuntimeError, match="worker row"):
+            run_sweep(1, [8, 12, 16])
+
+    def test_in_process_crash_tears_down_a_busy_pool(self, monkeypatch):
+        failures = {16: RuntimeError("largest row")}
+        monkeypatch.setattr(
+            experiments, "solve_hemisphere_case", _fake_case(failures, delays={8: 2.0, 12: 2.0})
+        )
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="largest row"):
+            run_sweep(1, [8, 12, 16])
+        # the worker's two 2 s rows are cut short, not waited for
+        assert time.perf_counter() - start < 1.5
+
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        parent = os.getpid()
+
+        def killed_in_worker(spec, *args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # as an out-of-memory kill
+            return _fake_case({})(spec)
+
+        monkeypatch.setattr(experiments, "solve_hemisphere_case", killed_in_worker)
+        with pytest.raises(ChildProcessError, match="exited with code -9"):
+            run_sweep(1, [8, 12, 16])
 
 
 class TestEmitReport:
