@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateTriangle
-from .mesh import TriMesh, dot, first_offender, triangle_metrics
+from .errors import DegenerateTriangle, DimensionMismatch
+from .mesh import TriMesh, dot, first_offender, triangle_metrics, write_rows
 from .surface import ParamSurface
 
 @dataclass(frozen=True)
@@ -262,19 +262,17 @@ def eigen_min_scan(columns, grid_resolution: int = 101, half_width: float | None
 
 @dataclass(frozen=True)
 class TriangleQuality:
-    """Per-face shape diagnostics of a mesh (and optionally of its
-    parameter triangles).
+    """Per-face shape diagnostics of a mesh.
 
     ``diam_over_sin`` is the convergence-condition ratio d / sin(min
     angle); ``diam_over_inradius`` the quasi-uniformity ratio d / r.
     """
 
     diam: np.ndarray
+    area: np.ndarray
     min_angle: np.ndarray
     diam_over_sin: np.ndarray
     diam_over_inradius: np.ndarray
-    param_diam: np.ndarray | None = None
-    param_area: np.ndarray | None = None
 
     @property
     def max_diam(self) -> float:
@@ -289,25 +287,16 @@ class TriangleQuality:
         return float(self.diam_over_inradius.max())
 
 
-def quality_report(mesh: TriMesh, param_tris=None) -> TriangleQuality:
-    """Shape diagnostics for every face (and parameter triangle)."""
+def quality_report(mesh: TriMesh) -> TriangleQuality:
+    """Shape diagnostics for every face."""
     geom = triangle_metrics(*mesh.face_points())
     min_angle = geom.angles.min(axis=1)
-    pd = pa = None
-    if param_tris is not None:
-        if len(param_tris) != mesh.num_faces:
-            raise DegenerateTriangle("one parameter triangle per face required")
-        p = np.asarray(param_tris, dtype=float).reshape(-1, 3, 2)
-        param = triangle_metrics(p[:, 0], p[:, 1], p[:, 2])
-        pd = param.diameter
-        pa = param.area
     return TriangleQuality(
         diam=geom.diameter,
+        area=geom.area,
         min_angle=min_angle,
         diam_over_sin=geom.diameter / np.sin(min_angle),
         diam_over_inradius=geom.diameter / geom.inradius,
-        param_diam=pd,
-        param_area=pa,
     )
 
 
@@ -354,14 +343,15 @@ def scan_degraded_faces(
 class BoundReport:
     """All per-face bound quantities plus their maxima.
 
-    Per-face arrays: plane-distance bound, centered pseudoinverse norm,
-    tilt bound, gradient-error factor and offset.  When a Dirichlet value
-    is supplied the integrated-error and energy-error bounds are filled
-    in.  ``certified`` marks faces whose parameter triangle lies inside
-    the chart's certified (non-degenerate) region.
+    Per-face arrays: parameter-triangle diameter, plane-distance bound,
+    centered pseudoinverse norm, tilt bound, gradient-error factor and
+    offset.  When a Dirichlet value is supplied the energy-error bound is
+    filled in.  ``certified`` marks faces whose parameter triangle lies
+    inside the chart's certified (non-degenerate) region.
     """
 
     quality: TriangleQuality
+    param_diam: np.ndarray
     plane_distance: np.ndarray
     pinv_norm: np.ndarray
     tilt: np.ndarray
@@ -370,71 +360,37 @@ class BoundReport:
     certified: np.ndarray
     factor_max: float
     offset_max: float
-    int_sq_error: float | None = None
     energy_error: float | None = None
 
     def write_csv(self, path):
         """One row per face plus a summary row of the maxima."""
         q = self.quality
+        header = (
+            "face,diam,diam_over_sin,param_diam,plane_distance_bound,"
+            "pinv_norm,tilt_bound,grad_factor,grad_offset,certified"
+        )
         columns = [
             q.diam,
             q.diam_over_sin,
-            q.param_diam,
+            self.param_diam,
             self.plane_distance,
             self.pinv_norm,
             self.tilt,
             self.grad_factor,
             self.grad_offset,
         ]
-        summary = [
-            q.max_diam,
-            q.max_diam_over_sin,
-            np.max(q.param_diam),
-            np.max(self.plane_distance),
-            np.max(self.pinv_norm),
-            np.max(self.tilt),
-            self.factor_max,
-            self.offset_max,
-            int(self.certified.all()),
-        ]
-        header = [
-            "face",
-            "diam",
-            "diam_over_sin",
-            "param_diam",
-            "plane_distance_bound",
-            "pinv_norm",
-            "tilt_bound",
-            "grad_factor",
-            "grad_offset",
-            "certified",
-        ]
-        _write_face_csv(path, header, columns, self.certified, summary)
+        summary = [np.max(c) for c in columns[:-2]]
+        summary += [self.factor_max, self.offset_max, self.certified.all()]
+        _write_face_table(path, header, columns, self.certified, summary)
 
 
-_CSV_BLOCK = 1024
-
-
-def _write_face_csv(path, header, columns, flags, summary):
-    """CSV of rows ``face, columns..., flag`` and a final ``max`` row.
-
-    Floats are written with 17 significant digits and the face index and
-    flags as integers, with ``\\r\\n`` line endings: the bytes
-    ``csv.writer`` gives for the same values, at one format per row.
-    """
-    row = "%d" + ",%.17g" * len(columns) + ",%d\r\n"
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    flags = np.asarray(flags, dtype=int)
+def _write_face_table(path, header, columns, flags, summary):
+    """CSV of rows ``face, columns..., flag`` and a final ``max`` row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        # A block of rows at a time, so that only one block's values exist
-        # as Python objects.
-        for lo in range(0, len(flags), _CSV_BLOCK):
-            block = slice(lo, lo + _CSV_BLOCK)
-            values = [c[block].tolist() for c in columns]
-            rows = zip(range(lo, lo + _CSV_BLOCK), *values, flags[block].tolist())
-            fh.writelines(row % r for r in rows)
-        fh.write(("max" + row[2:]) % tuple(summary))
+        fh.write(header + "\r\n")
+        write_rows(fh, [np.arange(len(flags)), *columns, flags])
+        fh.write("max,")
+        write_rows(fh, [[value] for value in summary])
 
 
 def build_bound_report(
@@ -450,40 +406,41 @@ def build_bound_report(
     (default: all); the factor/offset maxima and the derived energy-error
     bound are taken over all faces so they stay valid upper bounds.
     """
-    quality = quality_report(mesh, param_tris)
     nf = mesh.num_faces
-    d_param = quality.param_diam
-    a_param = quality.param_area
-    plane = plane_distance_bound(config, d_param)
-    pinv = centered_pinv_norm(np.asarray(param_tris, dtype=float).reshape(-1, 3, 2))
-    tilt = tangent_tilt_bound(config, d_param, a_param)
-    geom = triangle_metrics(*mesh.face_points())
-    factor, offset = gradient_error_terms(config, geom.diameter, geom.area, d_param, a_param)
+    p = np.asarray(param_tris, dtype=float).reshape(-1, 3, 2)
     certified = (
         np.ones(nf, dtype=bool)
         if certified_mask is None
         else np.asarray(certified_mask, dtype=bool)
     )
+    if len(p) != nf or len(certified) != nf:
+        raise DimensionMismatch(
+            f"{nf} faces, but {len(p)} parameter triangles and "
+            f"{len(certified)} certified flags"
+        )
+    quality = quality_report(mesh)
+    param = triangle_metrics(p[:, 0], p[:, 1], p[:, 2])
+    d_param, a_param = param.diameter, param.area
+    factor, offset = gradient_error_terms(config, quality.diam, quality.area, d_param, a_param)
     factor_max = float(factor.max())
     offset_max = float(offset.max())
-    int_sq = energy_err = None
+    energy_err = None
     if dirichlet_value is not None:
         half_integral = integrated_error_bound(
             config, dirichlet_value, factor_max, offset_max
         )
-        int_sq = 2.0 * half_integral
-        energy_err = dirichlet_error_bound(dirichlet_value, int_sq)
+        energy_err = dirichlet_error_bound(dirichlet_value, 2.0 * half_integral)
     return BoundReport(
         quality=quality,
-        plane_distance=plane,
-        pinv_norm=pinv,
-        tilt=tilt,
+        param_diam=d_param,
+        plane_distance=plane_distance_bound(config, d_param),
+        pinv_norm=centered_pinv_norm(p),
+        tilt=tangent_tilt_bound(config, d_param, a_param),
         grad_factor=factor,
         grad_offset=offset,
         certified=certified,
         factor_max=factor_max,
         offset_max=offset_max,
-        int_sq_error=int_sq,
         energy_error=energy_err,
     )
 
@@ -509,12 +466,6 @@ def quality_csv(quality: TriangleQuality, path, flagged=None):
     flagged_set = {d.face for d in flagged} if flagged else set()
     degraded = np.zeros(len(quality.diam), dtype=int)
     degraded[list(flagged_set)] = 1
-    columns = [
-        quality.diam,
-        quality.min_angle,
-        quality.diam_over_sin,
-        quality.diam_over_inradius,
-    ]
     summary = [
         quality.max_diam,
         quality.min_angle.min(),
@@ -522,5 +473,10 @@ def quality_csv(quality: TriangleQuality, path, flagged=None):
         quality.max_diam_over_inradius,
         len(flagged_set),
     ]
-    header = ["face", "diam", "min_angle", "diam_over_sin", "diam_over_inradius", "degraded"]
-    _write_face_csv(path, header, columns, degraded, summary)
+    _write_face_table(
+        path,
+        "face,diam,min_angle,diam_over_sin,diam_over_inradius,degraded",
+        [quality.diam, quality.min_angle, quality.diam_over_sin, quality.diam_over_inradius],
+        degraded,
+        summary,
+    )

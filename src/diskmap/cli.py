@@ -27,7 +27,7 @@ from .experiments import DEFAULT_N_GRID, emit_report, fit_exponent, run_sweep, s
 from .harmonic import disk_initial_guess, face_nearest
 from .hemisphere import HemisphereSpec, gen_hemisphere
 from .laplacian import assemble_laplacian, dirichlet_energy
-from .mesh import load_mesh, require_disk, save_mesh
+from .mesh import load_mesh, require_disk, save_mesh, write_rows
 from .minimizer import MinimizerOptions, minimize
 
 USAGE_ERROR = 2
@@ -61,13 +61,6 @@ def _read(reader, *args):
         return reader(*args)
     except DiskmapError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def _write_map_csv(path, values):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vertex,x,y\n")
-        rows = enumerate(np.asarray(values, dtype=float).tolist())
-        fh.writelines("%d,%.17g,%.17g\n" % (i, x, y) for i, (x, y) in rows)
 
 
 def cmd_gen(args):
@@ -106,7 +99,9 @@ def cmd_solve(args):
     init = disk_initial_guess(mesh, laplacian, source)
     report = minimize(mesh, laplacian, init, _minimizer_options(args))
     root = _out_root(args)
-    _write_map_csv(os.path.join(root, "map.csv"), report.final_map)
+    with open(os.path.join(root, "map.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write("vertex,x,y\n")
+        write_rows(fh, [np.arange(mesh.num_vertices), *report.final_map.T], end="\n")
     report.write_trace(os.path.join(root, "trace.csv"))
     final = report.energy_trace[-1]
     print(
@@ -208,7 +203,9 @@ def cmd_beltrami(args):
     solution = solve_beltrami(mesh, mu, boundary)
     root = _out_root(args)
     path = os.path.join(root, "beltrami.csv")
-    _write_map_csv(path, solution)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("vertex,x,y\n")
+        write_rows(fh, [np.arange(mesh.num_vertices), *solution.T], end="\n")
     print(f"wrote {path}")
     return 0
 

@@ -10,13 +10,12 @@ kept on the rows but never written into the deterministic outputs.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import DiskmapError, InsufficientData
 from .harmonic import disk_initial_guess, face_nearest
 from .hemisphere import HemisphereMesh, HemisphereSpec, gen_hemisphere
 from .laplacian import assemble_laplacian, conformal_energy
+from .mesh import write_rows
 from .minimizer import MinimizerOptions, SolveReport, minimize, normalize_map, relative_error
 
 SOUTH_POLE = np.array([0.0, 0.0, -1.0])
@@ -53,33 +53,6 @@ class ConvergenceRow:
     fold_count: int
     converged: bool
     wall_time: float
-
-    CSV_FIELDS = (
-        "n",
-        "m",
-        "h",
-        "max_diam_over_sin",
-        "energy_solution",
-        "energy_reference",
-        "rel_error",
-        "iterations",
-        "fold_count",
-        "converged",
-    )
-
-    def csv_values(self):
-        return [
-            self.n,
-            self.m,
-            f"{self.h:.17g}",
-            f"{self.max_diam_over_sin:.17g}",
-            f"{self.energy_solution:.17g}",
-            f"{self.energy_reference:.17g}",
-            f"{self.rel_error:.17g}",
-            self.iterations,
-            self.fold_count,
-            int(self.converged),
-        ]
 
 
 @dataclass(frozen=True)
@@ -280,27 +253,17 @@ def emit_report(rows, fit: FitResult | None, out_dir) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
 
-    sweep_path = os.path.join(out_dir, "sweep.csv")
-    with open(sweep_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ConvergenceRow.CSV_FIELDS)
-        for row in rows:
-            writer.writerow(row.csv_values())
-    paths["sweep"] = sweep_path
+    def table(kind, name, names, sep=" ", end="\n", header=False):
+        paths[kind] = os.path.join(out_dir, name)
+        with open(paths[kind], "w", encoding="utf-8", newline="") as fh:
+            if header:
+                fh.write(sep.join(names) + end)
+            write_rows(fh, [[getattr(row, n) for row in rows] for n in names], sep, end)
 
-    err_path = os.path.join(out_dir, "error_vs_h.dat")
-    with open(err_path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(f"{row.h:.17g} {row.rel_error:.17g}\n")
-    paths["error"] = err_path
-
-    energy_path = os.path.join(out_dir, "energy_vs_h.dat")
-    with open(energy_path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(
-                f"{row.h:.17g} {row.energy_solution:.17g} {row.energy_reference:.17g}\n"
-            )
-    paths["energy"] = energy_path
+    sweep_fields = [f.name for f in fields(ConvergenceRow) if f.name != "wall_time"]
+    table("sweep", "sweep.csv", sweep_fields, ",", "\r\n", header=True)
+    table("error", "error_vs_h.dat", ["h", "rel_error"])
+    table("energy", "energy_vs_h.dat", ["h", "energy_solution", "energy_reference"])
 
     if fit is not None:
         fit_path = os.path.join(out_dir, "fit.txt")

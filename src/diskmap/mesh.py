@@ -1,4 +1,5 @@
-"""Triangle mesh container, per-triangle metric data, and OFF file I/O.
+"""Triangle mesh container, per-triangle metric data, OFF file I/O, and
+the row writer of every report table.
 
 The mesh is an oriented manifold triangle surface with boundary, embedded
 in R^m for m >= 2.  Vertices and faces are immutable numpy arrays; all
@@ -427,8 +428,32 @@ def save_mesh(mesh: TriMesh, path):
     v = mesh.vertices
     if v.shape[1] == 2:
         v = np.column_stack([v, np.zeros(len(v))])
-    lines = ["OFF", f"{mesh.num_vertices} {mesh.num_faces} 0"]
-    lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in v]
-    lines += [f"3 {i} {j} {k}" for i, j, k in mesh.faces]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"OFF\n{mesh.num_vertices} {mesh.num_faces} 0\n")
+        write_rows(fh, v.T, sep=" ", end="\n")
+        write_rows(fh, [np.full(mesh.num_faces, 3), *mesh.faces.T], sep=" ", end="\n")
+
+
+# Rows formatted per write_rows block: only one block's values exist as
+# Python objects at a time.
+_BLOCK_ROWS = 1024
+
+
+def write_rows(fh, columns, sep=",", end="\r\n"):
+    """Write equal-length `columns` to the open text file `fh`, one row a line.
+
+    Integer and bool columns are written as integers and every other
+    column with 17 significant digits, which round-trips a double exactly.
+    Every report table goes through here: the CSVs with the default
+    ``\\r\\n`` (the bytes ``csv.writer`` gives for these values), and
+    ``map.csv``, ``beltrami.csv``, the plot ``.dat`` files and OFF with
+    ``\\n``.  Raises ``ValueError`` when the columns differ in length.
+    """
+    columns = [np.asarray(c) for c in columns]
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+    row = sep.join("%d" if c.dtype.kind in "biu" else "%.17g" for c in columns) + end
+    for lo in range(0, max(lengths, default=0), _BLOCK_ROWS):
+        block = [c[lo : lo + _BLOCK_ROWS].tolist() for c in columns]
+        fh.writelines(row % values for values in zip(*block))

@@ -20,7 +20,6 @@ reduction between the numpy calls around it.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .laplacian import (
     face_image_areas,
     factorize,
 )
-from .mesh import TriMesh, require_disk
+from .mesh import TriMesh, require_disk, write_rows
 
 _BOUNDARY_SLACK = 0.1
 _ARMIJO = 1e-4
@@ -132,24 +131,20 @@ class SolveReport:
 
     def write_trace(self, path):
         """CSV trace: iteration, dirichlet, area, conformal, grad norm, folds."""
+        trace = self.energy_trace
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["iteration", "dirichlet", "area", "conformal", "grad_norm", "folds"]
+            fh.write("iteration,dirichlet,area,conformal,grad_norm,folds\r\n")
+            write_rows(
+                fh,
+                [
+                    np.arange(len(trace)),
+                    [e.dirichlet for e in trace],
+                    [e.area for e in trace],
+                    [e.conformal for e in trace],
+                    self.gradient_norms,
+                    self.fold_trace,
+                ],
             )
-            for it, (e, g, folds) in enumerate(
-                zip(self.energy_trace, self.gradient_norms, self.fold_trace)
-            ):
-                writer.writerow(
-                    [
-                        it,
-                        f"{e.dirichlet:.17g}",
-                        f"{e.area:.17g}",
-                        f"{e.conformal:.17g}",
-                        f"{g:.17g}",
-                        folds,
-                    ]
-                )
 
 
 class _DiskProblem:

@@ -21,6 +21,7 @@ non-convergence comes from the mesh and not from the solver.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,7 +412,7 @@ def test_c12_determinism(tmp_path):
         rows = run_sweep(11 / 12, (4, 6, 8))
         paths = emit_report(rows, None, tmp_path / tag)
         blobs.append(
-            tuple(open(paths[k], "rb").read() for k in ("sweep", "error", "energy"))
+            tuple(Path(paths[k]).read_bytes() for k in ("sweep", "error", "energy"))
         )
     ok = blobs[0] == blobs[1]
     assert _verdict(12, "repeated sweeps emit byte-identical reports", ok, "")

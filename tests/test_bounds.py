@@ -7,6 +7,7 @@ import pytest
 from diskmap import (
     BoundsConfig,
     DegenerateTriangle,
+    DimensionMismatch,
     HemisphereSpec,
     TriMesh,
     assemble_laplacian,
@@ -407,9 +408,11 @@ class TestQualityReport:
         assert bad[-1] >= 0.5 * bad[0]
 
     def test_param_triangle_columns(self, hemi_small):
-        quality = quality_report(hemi_small.mesh, hemi_small.param_tris)
-        assert quality.param_diam.shape == (hemi_small.mesh.num_faces,)
-        assert quality.param_area.min() > 0
+        cfg = BoundsConfig.for_surface(hemi_small.surface, map_grad_lipschitz=1.0)
+        report = build_bound_report(hemi_small.mesh, hemi_small.param_tris, cfg)
+        assert report.param_diam.shape == (hemi_small.mesh.num_faces,)
+        assert report.param_diam.min() > 0
+        assert np.all(report.tilt > 0)
 
 
 class TestDegradedFaceScan:
@@ -503,7 +506,7 @@ class TestCsvWriters:
         columns = [
             q.diam,
             q.diam_over_sin,
-            q.param_diam,
+            report.param_diam,
             report.plane_distance,
             report.pinv_norm,
             report.tilt,
@@ -513,7 +516,7 @@ class TestCsvWriters:
         summary = [
             q.max_diam,
             q.max_diam_over_sin,
-            np.max(q.param_diam),
+            np.max(report.param_diam),
             np.max(report.plane_distance),
             np.max(report.pinv_norm),
             np.max(report.tilt),
@@ -526,3 +529,14 @@ class TestCsvWriters:
             tmp_path / "expected.csv", header.split(","), columns, report.certified, summary
         )
         assert (tmp_path / "bounds.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("what", ["certified_mask", "param_tris"])
+    def test_wrong_length_input_rejected(self, tmp_path, what):
+        # a short certified mask used to drop face rows from bounds.csv
+        hemi = gen_hemisphere(HemisphereSpec.from_counts(8, 10))
+        nf = hemi.mesh.num_faces
+        cfg = BoundsConfig.for_surface(hemi.surface, map_grad_lipschitz=1.0)
+        inputs = {"param_tris": hemi.param_tris, "certified_mask": ~hemi.pole_faces}
+        inputs[what] = inputs[what][:-5]
+        with pytest.raises(DimensionMismatch, match=f"{nf} faces.* {nf - 5} "):
+            build_bound_report(hemi.mesh, config=cfg, **inputs).write_csv(tmp_path / "bounds.csv")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from diskmap import HemisphereSpec, gen_hemisphere, load_mesh, save_mesh
-from diskmap.cli import _write_map_csv, main
+from diskmap.cli import main
+from diskmap.mesh import write_rows
 
 from conftest import annulus_mesh, planar_disk_mesh
 
@@ -123,7 +124,10 @@ class TestSolve:
     def test_map_csv_bytes(self, tmp_path):
         values = np.array([[-0.0, 5e-324], [1e300, 3.0]])
         path = tmp_path / "map.csv"
-        _write_map_csv(path, values)
+        # map.csv's header, then its rows as the solve and beltrami commands write them
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("vertex,x,y\n")
+            write_rows(fh, [np.arange(len(values)), *values.T], end="\n")
         expected = "vertex,x,y\n" + "".join(
             f"{i},{x:.17g},{y:.17g}\n" for i, (x, y) in enumerate(values)
         )

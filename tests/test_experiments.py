@@ -1,3 +1,4 @@
+import csv
 import math
 import multiprocessing
 import os
@@ -334,16 +335,16 @@ class TestSweepWorkers:
 class TestEmitReport:
     def test_empty_rows(self, tmp_path):
         paths = emit_report([], None, tmp_path / "run")
-        lines = open(paths["sweep"]).read().splitlines()
+        lines = pathlib.Path(paths["sweep"]).read_text().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("n,m,h,")
 
     def test_row_count(self, tmp_path):
         rows = [synthetic_row(h, h) for h in (0.8, 0.4, 0.2, 0.1)]
         paths = emit_report(rows, fit_exponent(rows), tmp_path / "run")
-        assert len(open(paths["sweep"]).read().splitlines()) == 5
-        assert len(open(paths["error"]).read().splitlines()) == 4
-        assert "exponent 1" in open(paths["fit"]).read()
+        assert len(pathlib.Path(paths["sweep"]).read_text().splitlines()) == 5
+        assert len(pathlib.Path(paths["error"]).read_text().splitlines()) == 4
+        assert "exponent 1" in pathlib.Path(paths["fit"]).read_text()
 
     def test_deterministic_bytes(self, tmp_path):
         # identical invocations produce byte-identical deterministic files
@@ -351,14 +352,49 @@ class TestEmitReport:
         for tag in ("a", "b"):
             rows = run_sweep(11 / 12, [4, 6, 8], options=FAST)
             paths = emit_report(rows, None, tmp_path / tag)
-            results.append(
-                (
-                    open(paths["sweep"], "rb").read(),
-                    open(paths["error"], "rb").read(),
-                    open(paths["energy"], "rb").read(),
-                )
-            )
+            kinds = ("sweep", "error", "energy")
+            results.append(tuple(pathlib.Path(paths[k]).read_bytes() for k in kinds))
         assert results[0] == results[1]
+
+    def test_report_bytes(self, tmp_path, monkeypatch):
+        # a NaN row from a failed solve among more rows than one block; the
+        # expected bytes are csv.writer's for 17-digit strings and the plot
+        # files' f-strings
+        fake = _fake_case({8: DiskmapError("x")})
+        monkeypatch.setattr(experiments, "solve_hemisphere_case", fake)
+        failed = experiments._sweep_row(HemisphereSpec.from_counts(8, 6), None, "quadrature", 3)
+        assert math.isnan(failed.h) and not failed.converged
+        rng = np.random.default_rng(9)
+        count = 1100
+        floats = rng.standard_normal((count, 5)) * 10.0 ** rng.integers(-20, 20, (count, 5))
+        ints = rng.integers(0, 5000, (count, 4)).tolist()
+        rows = [
+            ConvergenceRow(n, m, *f, iterations, folds, converged=c < 0.7, wall_time=0.5)
+            for (n, m, iterations, folds), f, c in zip(ints, floats.tolist(), rng.random(count))
+        ]
+        rows[0] = synthetic_row(-0.0, 5e-324, energy_solution=1e300, energy_reference=math.inf)
+        rows.insert(7, failed)
+        paths = emit_report(rows, None, tmp_path / "run")
+
+        with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["n", "m", "h", "max_diam_over_sin", "energy_solution", "energy_reference",
+                 "rel_error", "iterations", "fold_count", "converged"]
+            )
+            for r in rows:
+                writer.writerow(
+                    [r.n, r.m, f"{r.h:.17g}", f"{r.max_diam_over_sin:.17g}",
+                     f"{r.energy_solution:.17g}", f"{r.energy_reference:.17g}",
+                     f"{r.rel_error:.17g}", r.iterations, r.fold_count, int(r.converged)]
+                )
+        assert pathlib.Path(paths["sweep"]).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        error = "".join(f"{r.h:.17g} {r.rel_error:.17g}\n" for r in rows)
+        assert pathlib.Path(paths["error"]).read_bytes() == error.encode()
+        energy = "".join(
+            f"{r.h:.17g} {r.energy_solution:.17g} {r.energy_reference:.17g}\n" for r in rows
+        )
+        assert pathlib.Path(paths["energy"]).read_bytes() == energy.encode()
 
 
 def test_sweep_fit_exponent_matches_the_benchmark_reference():

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -20,8 +21,9 @@ from diskmap import (
 )
 
 from diskmap.hemisphere import MAX_VERTICES
+from diskmap.mesh import write_rows
 
-from conftest import annulus_mesh, random_triangle
+from conftest import annulus_mesh, planar_disk_mesh, random_triangle
 
 RIGHT = (np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
@@ -430,6 +432,26 @@ class TestStereographic:
             stereographic_project(np.array([0.5, 0.0, 0.0]))
 
 
+class TestWriteRows:
+    def test_integers_and_bools_as_integers_floats_with_17_digits(self):
+        fh = io.StringIO()
+        columns = [np.array([1, -2]), [True, False], [0.1, -0.0], np.array([3.0, np.nan])]
+        write_rows(fh, columns, sep=";", end="|")
+        assert fh.getvalue() == "1;1;0.10000000000000001;3|-2;0;-0;nan|"
+
+    @pytest.mark.parametrize("rows", [0, 1023, 1024, 1025, 2500])
+    def test_every_row_once_across_blocks(self, rows):
+        fh = io.StringIO()
+        write_rows(fh, [np.arange(rows)], end="\n")
+        assert fh.getvalue() == "".join(f"{i}\n" for i in range(rows))
+
+    def test_unequal_columns_raise(self):
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match=r"differ in length: \[2, 3\]"):
+            write_rows(fh, [[1, 2, 3], [0.5, 0.25]])
+        assert fh.getvalue() == ""
+
+
 class TestOffIO:
     def test_single_triangle(self, tmp_path):
         path = tmp_path / "tri.off"
@@ -449,6 +471,26 @@ class TestOffIO:
         path2 = tmp_path / "hemi2.off"
         save_mesh(back, path2)
         assert path.read_text() == path2.read_text()
+
+    @pytest.mark.parametrize("planar", [False, True], ids=["3d", "2d"])
+    def test_save_bytes(self, tmp_path, planar):
+        # more vertices and faces than one block of rows; a 2-d mesh gets a
+        # zero third coordinate
+        n, m = 16, 80
+        if planar:
+            mesh = planar_disk_mesh(n, m)
+        else:
+            mesh = gen_hemisphere(HemisphereSpec.from_counts(n, m)).mesh
+        assert min(mesh.num_vertices, mesh.num_faces) > 1024
+        save_mesh(mesh, tmp_path / "mesh.off")
+        v = mesh.vertices
+        if planar:
+            v = np.column_stack([v, np.zeros(len(v))])
+        lines = ["OFF", f"{mesh.num_vertices} {mesh.num_faces} 0"]
+        lines += [f"{x:.17g} {y:.17g} {z:.17g}" for x, y, z in v]
+        lines += [f"3 {i} {j} {k}" for i, j, k in mesh.faces]
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (tmp_path / "mesh.off").read_bytes() == expected
 
     def test_hemisphere_face_count_formula(self, tmp_path):
         n, m = 4, 8

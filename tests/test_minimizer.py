@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -9,9 +10,11 @@ import pytest
 from diskmap import (
     ConformalEnergy,
     DimensionMismatch,
+    EnergyBreakdown,
     HemisphereSpec,
     InvalidTopology,
     MinimizerOptions,
+    SolveReport,
     ZeroReference,
     TriMesh,
     assemble_laplacian,
@@ -171,6 +174,34 @@ class TestMinimize:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,dirichlet,area,conformal,grad_norm,folds"
         assert len(lines) == len(report.energy_trace) + 1
+
+    def test_trace_csv_bytes(self, tmp_path):
+        # more iterates than one block of rows, with extreme values; the
+        # expected bytes are csv.writer's for 17-digit strings
+        rng = np.random.default_rng(5)
+        count = 1500
+        values = rng.standard_normal((count, 3)) * 10.0 ** rng.integers(-30, 30, (count, 3))
+        values[:5, 0] = [-0.0, 5e-324, 1e300, math.inf, math.nan]
+        report = SolveReport(
+            final_map=np.zeros((3, 2)),
+            energy_trace=[EnergyBreakdown(d, a) for d, a in values[:, :2].tolist()],
+            gradient_norms=list(values[:, 2]),
+            fold_trace=rng.integers(0, 4, count).tolist(),
+            iterations=count - 1,
+            converged=False,
+            message="iteration cap reached",
+            energy_evaluations=count,
+        )
+        report.write_trace(tmp_path / "trace.csv")
+        with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["iteration", "dirichlet", "area", "conformal", "grad_norm", "folds"])
+            for it, (e, g, folds) in enumerate(
+                zip(report.energy_trace, report.gradient_norms, report.fold_trace)
+            ):
+                energies = (e.dirichlet, e.area, e.conformal, g)
+                writer.writerow([it, *(f"{x:.17g}" for x in energies), folds])
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
 class TestDot:
