@@ -10,7 +10,6 @@ the plain cotangent Laplacian.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,11 @@ from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
     NonFiniteVertex,
-    ParseError,
     SingularSystem,
     SolverFailure,
 )
 from .laplacian import factorize
-from .mesh import TriMesh, dot, first_offender
+from .mesh import TriMesh, data_lines, dot, first_offender, read_rows
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _ADMISSIBLE_FLOOR = 1e-12
@@ -200,46 +198,21 @@ def solve_beltrami(mesh: TriMesh, mu: BeltramiCoefficient, boundary_values) -> n
 def _read_indexed_pairs(path, columns) -> tuple[np.ndarray, np.ndarray]:
     """Rows 'index,a,b' of a CSV file, as the indices (k,) and the pairs (k, 2).
 
-    `columns` names the three fields, e.g. ("face", "mu1", "mu2").  Blank
-    rows and rows whose first field is empty or ``columns[0]`` (any case)
-    are skipped; fields after the third are ignored.  One ``np.loadtxt``
-    call reads the file.  If it fails, the rows are read one by one, and
-    a row with fewer than three fields, a non-integer index or a
-    non-numeric value raises ``ParseError`` with its 1-based line number.
+    `columns` names the three fields, e.g. ("face", "mu1", "mu2").  Line 1
+    may be a header, a line whose first field is ``columns[0]`` (any
+    case).  Every other line that is not blank or a ``#`` comment must
+    hold exactly the three fields, an integer index and two numbers in
+    numpy's syntax; :func:`~diskmap.mesh.read_rows` reads them, and a
+    ``ParseError`` names the 1-based number of the first line that does
+    not fit.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    header = columns[0]
-    start = int(lines[0].split(",", 1)[0].strip().lower() == header)
-    if not "".join(lines[start:]).strip():
-        return np.empty(0, dtype=int), np.empty((0, 2))
-    try:
-        table = np.loadtxt(
-            lines[start:], delimiter=",", dtype=[("index", int), ("pair", float, 2)], ndmin=1
-        )
-    except ValueError:
-        table = None
-    if table is not None:
-        return table["index"], table["pair"]
-    indices, pairs = [], []
-    reader = csv.reader(lines)
-    for row in reader:
-        if not row or row[0].strip().lower() in (header, ""):
-            continue
-        if len(row) < 3:
-            raise ParseError(
-                f"expected the 3 fields {','.join(columns)}, found {len(row)}",
-                line=reader.line_num,
-            )
-        try:
-            indices.append(int(row[0]))
-            pairs.append((float(row[1]), float(row[2])))
-        except ValueError:
-            raise ParseError(
-                f"{header} must be an integer and {columns[1]}, {columns[2]} numbers",
-                line=reader.line_num,
-            ) from None
-    return np.array(indices, dtype=int), np.array(pairs, dtype=float).reshape(-1, 2)
+    lines, data = data_lines(path)
+    if len(data) and data[0] == 0 and lines[0].split(",", 1)[0].strip().lower() == columns[0]:
+        data = data[1:]
+    table = read_rows(
+        lines, data, [("index", int), ("pair", float, 2)], f"a row '{','.join(columns)}'", ","
+    )
+    return table["index"], table["pair"]
 
 
 def read_mu_csv(path, num_faces: int) -> BeltramiCoefficient:

@@ -191,12 +191,10 @@ class EigenScanReport:
     the mean against the eigenvalues of C C^T - n_cols * mean mean^T.
     """
 
-    minimizers: np.ndarray
     cell_distances: np.ndarray
     grid_minima: np.ndarray
     values_at_mean: np.ndarray
     value_mismatch: float
-    grid_step: float
 
 
 def eigen_min_scan(columns, grid_resolution: int = 101, half_width: float | None = None) -> EigenScanReport:
@@ -230,13 +228,11 @@ def eigen_min_scan(columns, grid_resolution: int = 101, half_width: float | None
     lams = [half_tr - disc, half_tr + disc]
 
     step = xs[1] - xs[0]
-    minimizers = np.empty((2, 2))
     cells = np.empty(2)
     grid_minima = np.empty(2)
     for ell, lam in enumerate(lams):
         flat = int(np.argmin(lam))
         ii, jj = np.unravel_index(flat, lam.shape)
-        minimizers[ell] = (xs[ii], ys[jj])
         cells[ell] = max(abs(xs[ii] - mean[0]), abs(ys[jj] - mean[1])) / step
         grid_minima[ell] = float(lam[ii, jj])
 
@@ -251,12 +247,10 @@ def eigen_min_scan(columns, grid_resolution: int = 101, half_width: float | None
     mismatch = float(np.max(np.abs(at_mean - ref_vals)))
 
     return EigenScanReport(
-        minimizers=minimizers,
         cell_distances=cells,
         grid_minima=grid_minima,
         values_at_mean=at_mean,
         value_mismatch=mismatch,
-        grid_step=float(step),
     )
 
 

@@ -63,6 +63,14 @@ def _read(reader, *args):
         raise ParseError(str(exc)) from exc
 
 
+def _write_vertex_map(path, values):
+    """Write the (n, 2) vertex images `values` as ``vertex,x,y`` rows
+    (``map.csv``, ``beltrami.csv``)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("vertex,x,y\n")
+        write_rows(fh, [np.arange(len(values)), *values.T], end="\n")
+
+
 def cmd_gen(args):
     spec = _hemisphere_spec(args)
     hemi = gen_hemisphere(spec)
@@ -99,9 +107,7 @@ def cmd_solve(args):
     init = disk_initial_guess(mesh, laplacian, source)
     report = minimize(mesh, laplacian, init, _minimizer_options(args))
     root = _out_root(args)
-    with open(os.path.join(root, "map.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("vertex,x,y\n")
-        write_rows(fh, [np.arange(mesh.num_vertices), *report.final_map.T], end="\n")
+    _write_vertex_map(os.path.join(root, "map.csv"), report.final_map)
     report.write_trace(os.path.join(root, "trace.csv"))
     final = report.energy_trace[-1]
     print(
@@ -203,9 +209,7 @@ def cmd_beltrami(args):
     solution = solve_beltrami(mesh, mu, boundary)
     root = _out_root(args)
     path = os.path.join(root, "beltrami.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("vertex,x,y\n")
-        write_rows(fh, [np.arange(mesh.num_vertices), *solution.T], end="\n")
+    _write_vertex_map(path, solution)
     print(f"wrote {path}")
     return 0
 

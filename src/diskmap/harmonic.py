@@ -96,7 +96,6 @@ class HarmonicSolution:
 
     values: np.ndarray
     residual: float
-    gauge: str
 
 
 def solve_weak_lb(
@@ -131,11 +130,7 @@ def solve_weak_lb(
         raise SolverFailure(f"reduced residual {residual:.3e} exceeds 1e-10")
     values = np.zeros((n, 2))
     values[keep] = x
-    return HarmonicSolution(
-        values=values,
-        residual=residual,
-        gauge=f"vertex {pin_vertex} pinned to the origin",
-    )
+    return HarmonicSolution(values=values, residual=residual)
 
 
 def disk_initial_guess(

@@ -1,5 +1,5 @@
-"""Triangle mesh container, per-triangle metric data, OFF file I/O, and
-the row writer of every report table.
+"""Triangle mesh container, per-triangle metric data, OFF file I/O, the
+row reader of every input table and the row writer of every report table.
 
 The mesh is an oriented manifold triangle surface with boundary, embedded
 in R^m for m >= 2.  Vertices and faces are immutable numpy arrays; all
@@ -340,20 +340,61 @@ def projection_frame(v_i, v_j, v_k) -> ProjectionFrame:
     )
 
 
+def data_lines(path):
+    """The lines of the text file `path` with ``#`` comments removed, and
+    the indices of the lines that still hold data (not blank)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = re.sub("#.*", "", fh.read()).split("\n")
+    return lines, np.flatnonzero(np.fromiter(map(str.strip, lines), dtype=bool, count=len(lines)))
+
+
+def read_rows(lines, rows, dtype, what, delimiter=None):
+    """The data lines `rows` of `lines` as one record of `dtype` per line.
+
+    `rows` holds the 0-based indices of the lines to read, in order.
+    `dtype` is a record dtype; its columns fix the number of fields a
+    line must have.  One ``np.loadtxt`` call reads the lines, so numpy's
+    number syntax is the one grammar of every input table.  Only when
+    numpy refuses them does the same call read one line at a time, to
+    find the first line it refuses: ``ParseError`` names that 1-based
+    line, expecting `what`.
+    """
+
+    def read(span):
+        return np.loadtxt(span, dtype=dtype, delimiter=delimiter, ndmin=1)
+
+    if not len(rows):
+        return np.empty(0, dtype)
+    try:
+        return read([lines[r] for r in rows])
+    except ValueError:
+        pass
+    for r in rows:
+        try:
+            read([lines[r]])
+        except ValueError:
+            raise _refused(lines, r, what) from None
+    # numpy checks each line on its own, so one of them was refused.
+    raise AssertionError("np.loadtxt refused the lines but none of them alone")
+
+
+def _refused(lines, r, what):
+    """The ``ParseError`` for line `r` (0-based) of `lines`, which is not `what`."""
+    return ParseError(f"expected {what}, found {lines[r].strip()!r}", line=int(r) + 1)
+
+
 def load_mesh(path) -> TriMesh:
     """Read an OFF file.
 
     Accepts the minimal grammar: an ``OFF`` header line, a counts line
-    ``nv nf ne``, nv vertex lines with 3 coordinates, nf face lines
-    ``3 i j k``.  Blank lines and ``#`` comments are skipped.  Each block
-    is read with one ``np.loadtxt`` call; a ``ParseError`` names the
-    1-based line number of the first bad line.
+    ``nv nf ne`` with nf >= 1, nv vertex lines ``x y z``, nf face lines
+    ``3 i j k``.  Blank lines and ``#`` comments are skipped.  Numbers
+    follow numpy's syntax: the counts line and both blocks are read by
+    :func:`read_rows`.  A ``ParseError`` names the 1-based number of the
+    first line numpy refuses, or else of the first face line that does
+    not start with 3.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = re.sub("#.*", "", fh.read()).split("\n")
-    # Indices of the lines that hold data, in order.
-    data = np.flatnonzero(np.fromiter(map(str.strip, lines), dtype=bool, count=len(lines)))
-
+    lines, data = data_lines(path)
     if not len(data):
         raise ParseError("empty file")
     no = int(data[0]) + 1
@@ -362,13 +403,12 @@ def load_mesh(path) -> TriMesh:
     if len(data) < 2:
         raise ParseError("missing counts line", line=no)
     no = int(data[1]) + 1
-    fields = lines[data[1]].split()
-    if len(fields) != 3:
-        raise ParseError("counts line must have three integers", line=no)
-    try:
-        nv, nf, _ = (int(x) for x in fields)
-    except ValueError:
-        raise ParseError("counts line must have three integers", line=no) from None
+    counts = read_rows(lines, data[1:2], [("counts", int, 3)], "a counts line 'nv nf ne'")
+    nv, nf, _ = counts["counts"][0].tolist()
+    if nv < 0 or nf < 1:
+        raise ParseError(
+            f"a mesh needs nv >= 0 vertices and nf >= 1 faces, found {nv} {nf}", line=no
+        )
 
     body = data[2:]
     if len(body) != nv + nf:
@@ -376,48 +416,13 @@ def load_mesh(path) -> TriMesh:
             f"expected {nv} vertex and {nf} face lines, found {len(body)}",
             line=int(body[-1]) + 1 if len(body) else no,
         )
-    verts = _read_block(lines, body[:nv], float, 3, _vertex_row)
-    faces = _read_block(lines, body[nv:], int, 4, _face_row, lambda b: (b[:, 0] == 3).all())
-    return TriMesh(verts, faces[:, 1:])
-
-
-def _vertex_row(fields, no):
-    if len(fields) != 3:
-        raise ParseError("vertex line must have three coordinates", line=no)
-    try:
-        return [float(x) for x in fields]
-    except ValueError:
-        raise ParseError("bad vertex coordinate", line=no) from None
-
-
-def _face_row(fields, no):
-    if len(fields) != 4 or fields[0] != "3":
-        raise ParseError("face line must read '3 i j k'", line=no)
-    try:
-        return [int(x) for x in fields]
-    except ValueError:
-        raise ParseError("bad face index", line=no) from None
-
-
-def _read_block(lines, rows, dtype, width, parse_row, valid=lambda block: True):
-    """The data lines `rows` of `lines` as a (len(rows), width) array.
-
-    One ``np.loadtxt`` call reads the block.  If it fails, or its result
-    has another width or is not `valid`, ``parse_row(fields, line_number)``
-    reads the lines one by one instead: it raises the ``ParseError`` of
-    the first bad line, and returns the block if Python reads a field
-    that numpy refuses.
-    """
-    if len(rows):
-        try:
-            block = np.loadtxt(lines[rows[0] : rows[-1] + 1], dtype=dtype, ndmin=2)
-        except ValueError:
-            block = None
-        if block is not None and block.shape[1] == width and valid(block):
-            return block
-    return np.array(
-        [parse_row(lines[r].split(), int(r) + 1) for r in rows], dtype=dtype
-    ).reshape(-1, width)
+    verts = read_rows(lines, body[:nv], [("xyz", float, 3)], "a vertex line 'x y z'")
+    face = "a face line '3 i j k'"
+    faces = read_rows(lines, body[nv:], [("three", int), ("ijk", int, 3)], face)
+    not_triangle = faces["three"] != 3
+    if not_triangle.any():
+        raise _refused(lines, body[nv + np.argmax(not_triangle)], face)
+    return TriMesh(verts["xyz"], faces["ijk"])
 
 
 def save_mesh(mesh: TriMesh, path):

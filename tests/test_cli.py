@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from diskmap import HemisphereSpec, gen_hemisphere, load_mesh, save_mesh
-from diskmap.cli import main
-from diskmap.mesh import write_rows
+from diskmap.cli import _write_vertex_map, main
 
 from conftest import annulus_mesh, planar_disk_mesh
 
@@ -124,10 +123,8 @@ class TestSolve:
     def test_map_csv_bytes(self, tmp_path):
         values = np.array([[-0.0, 5e-324], [1e300, 3.0]])
         path = tmp_path / "map.csv"
-        # map.csv's header, then its rows as the solve and beltrami commands write them
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("vertex,x,y\n")
-            write_rows(fh, [np.arange(len(values)), *values.T], end="\n")
+        # the writer of the solve command's map.csv and the beltrami command's beltrami.csv
+        _write_vertex_map(path, values)
         expected = "vertex,x,y\n" + "".join(
             f"{i},{x:.17g},{y:.17g}\n" for i, (x, y) in enumerate(values)
         )
@@ -307,7 +304,17 @@ class TestBeltramiCommand:
 
     @pytest.mark.parametrize(
         "which, row",
-        [("mu", "0,0.1"), ("mu", "0,0.1,abc"), ("boundary", "3,0.5"), ("boundary", "x,0.5,0.5")],
+        [
+            ("mu", "0,0.1"),
+            ("mu", "0,0.1,abc"),
+            ("boundary", "3,0.5"),
+            ("boundary", "x,0.5,0.5"),
+            # forms that a second, hand-written grammar once read
+            ("mu", "1_0,0.2,0.2"),
+            ("mu", ",1,2"),
+            ("mu", "face,mu1,mu2"),
+            ("mu", "0,0.1,0.1,extra"),
+        ],
     )
     def test_bad_csv_row_names_its_line(self, tmp_path, capsys, which, row):
         mesh = planar_disk_mesh(6, 9)
@@ -380,6 +387,29 @@ def test_bad_off_line_prints_input_error_exit_1(tmp_path, capsys):
     code = run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("input error: line 4:")
+
+
+def test_underscore_in_off_number_exit_1(tmp_path, capsys):
+    path = tmp_path / "bad.off"
+    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1_0 0\n3 0 1 2\n")
+    code = run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("input error: line 5: expected a vertex line")
+
+
+@pytest.mark.parametrize("command", ["quality", "solve", "beltrami"])
+@pytest.mark.parametrize(
+    "text", ["OFF\n0 0 0\n", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"], ids=["empty", "3_vertices"]
+)
+def test_mesh_without_faces_exit_1(tmp_path, capsys, command, text):
+    path = tmp_path / "faceless.off"
+    path.write_text(text)
+    args = ["--out-dir", str(tmp_path), command, "--mesh", str(path)]
+    if command == "beltrami":
+        args += ["--mu", str(tmp_path / "mu.csv"), "--boundary", str(tmp_path / "bnd.csv")]
+    assert run(args) == 1
+    assert capsys.readouterr().err.startswith("input error: line 2: a mesh needs")
+    assert [p.name for p in tmp_path.iterdir()] == ["faceless.off"]
 
 
 class TestConfigFile:

@@ -1,5 +1,9 @@
+import importlib.util
 import io
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from diskmap import (
     triangle_metrics,
 )
 
+from diskmap.beltrami import _read_indexed_pairs, read_boundary_csv, read_mu_csv
 from diskmap.hemisphere import MAX_VERTICES
 from diskmap.mesh import write_rows
 
@@ -520,3 +525,143 @@ class TestOffIO:
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n")
         with pytest.raises(InvalidTopology):
             load_mesh(path)
+
+
+def load_checks():
+    """The benchmark's input writer, perfbench/checks.py, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    # Leave no bytecode cache behind in perfbench/.
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+# Blocks of more than one 1024-row block: 1281 vertices, 2480 faces.
+LARGE = (16, 80)
+OFF_FORMS = {
+    "counts": {"1_0": "{nv} 1_0 0", "short": "{nv} {nf}", "long": "{nv} {nf} 0 0",
+               "header": "OFF", "no_faces": "{nv} 0 0"},
+    "vertices": {"1_0": "0 0 1_0", "short": "0 0", "long": "0 0 0 0", "header": "OFF"},
+    "faces": {"1_0": "3 0 1 1_0", "short": "3 0 1", "long": "3 0 1 2 3", "header": "OFF",
+              "4 i j k": "4 0 1 2"},
+}
+CSV_FORMS = {
+    "1_0": "1_0,0.2,0.2", "short": "0,0.1", "long": "0,0.1,0.1,extra",
+    "empty index": ",1,2", "header": "{header}",
+}
+
+
+class TestReadRows:
+    """Every input table is read by numpy's grammar alone: each refused
+    line raises ParseError with its 1-based line number."""
+
+    @staticmethod
+    def off_with(tmp_path, table, row, last):
+        mesh = planar_disk_mesh(*LARGE) if last else planar_disk_mesh(3, 9)
+        nv, nf = mesh.num_vertices, mesh.num_faces
+        path = tmp_path / "mesh.off"
+        save_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        lines[1:1] = ["# a comment line and a blank line, both counted", ""]
+        first, size = {"counts": (3, 1), "vertices": (4, nv), "faces": (4 + nv, nf)}[table]
+        # the block's last line, or its second
+        index = first + (size - 1 if last else min(1, size - 1))
+        lines[index] = row.format(nv=nv, nf=nf)
+        path.write_text("\n".join(lines) + "\n")
+        return lambda: load_mesh(path), index + 1
+
+    @staticmethod
+    def csv_with(tmp_path, table, row, last):
+        header = {"mu": "face,mu1,mu2", "boundary": "vertex,x,y"}[table]
+        lines = [header] + [f"{i},0.25,-0.125" for i in range(1500 if last else 4)]
+        lines.insert(2, "")
+        index = len(lines) - 1 if last else 3
+        lines[index] = row.format(header=header)
+        path = tmp_path / f"{table}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if table == "mu":
+            return lambda: read_mu_csv(path, 1500), index + 1
+        return lambda: read_boundary_csv(path, planar_disk_mesh(3, 9)), index + 1
+
+    @pytest.mark.parametrize(
+        "table, row, last",
+        [
+            pytest.param(table, row, False, id=f"{table}-{form}")
+            for table, forms in OFF_FORMS.items()
+            for form, row in forms.items()
+        ]
+        + [
+            pytest.param("vertices", "0 0 1_0", True, id="vertices-last_of_large_block"),
+            pytest.param("faces", "3 0 1 1_0", True, id="faces-last_of_large_block"),
+            pytest.param("faces", "4 0 1 2", True, id="faces-4_i_j_k_last_of_large_block"),
+        ],
+    )
+    def test_off_line_refused(self, tmp_path, table, row, last):
+        read, line = self.off_with(tmp_path, table, row, last)
+        with pytest.raises(ParseError) as excinfo:
+            read()
+        assert excinfo.value.line == line
+
+    @pytest.mark.parametrize("table", ["mu", "boundary"])
+    @pytest.mark.parametrize(
+        "row, last",
+        [pytest.param(row, False, id=form) for form, row in CSV_FORMS.items()]
+        + [pytest.param("1_0,0.2,0.2", True, id="last_of_large_block")],
+    )
+    def test_csv_line_refused(self, tmp_path, table, row, last):
+        read, line = self.csv_with(tmp_path, table, row, last)
+        with pytest.raises(ParseError) as excinfo:
+            read()
+        assert excinfo.value.line == line
+
+    def test_blank_lines_give_no_numpy_warning(self, tmp_path):
+        path = tmp_path / "mu.csv"
+        path.write_text("face,mu1,mu2\n\n0,0.1,0.1\n \n1_0,0.2,0.2\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="line 5: expected a row 'face,mu1,mu2'"):
+                read_mu_csv(path, 20)
+
+    @pytest.mark.parametrize("planar", [False, True], ids=["3d", "2d"])
+    def test_save_mesh_file_arrays(self, tmp_path, planar):
+        if planar:
+            mesh = planar_disk_mesh(*LARGE)
+        else:
+            mesh = gen_hemisphere(HemisphereSpec.from_counts(*LARGE)).mesh
+        save_mesh(mesh, tmp_path / "mesh.off")
+        back = load_mesh(tmp_path / "mesh.off")
+        vertices = mesh.vertices.tolist()
+        if planar:
+            vertices = [[x, y, 0.0] for x, y in vertices]
+        expected_v = np.array(vertices, dtype=np.float64)
+        expected_f = np.array(mesh.faces.tolist(), dtype=np.int64)
+        assert back.vertices.dtype == expected_v.dtype and np.array_equal(back.vertices, expected_v)
+        assert back.faces.dtype == expected_f.dtype and np.array_equal(back.faces, expected_f)
+
+    def test_benchmark_input_arrays(self, tmp_path):
+        checks = load_checks()
+        hemi = checks.hemisphere(*LARGE)
+        inputs = checks.write_beltrami_inputs(hemi, 13, str(tmp_path))
+        mesh = load_mesh(inputs.mesh_path)
+        flat = inputs.vertices.tolist()
+        expected = {
+            "vertices": (mesh.vertices, np.array([[x, y, 0.0] for x, y in flat])),
+            "faces": (mesh.faces, np.array(hemi.faces.tolist(), dtype=np.int64)),
+        }
+        faces, mu = _read_indexed_pairs(inputs.mu_path, ("face", "mu1", "mu2"))
+        expected["mu index"] = faces, np.arange(len(hemi.faces))
+        expected["mu"] = mu, np.array(inputs.mu.tolist())
+        vertices, values = _read_indexed_pairs(inputs.boundary_path, ("vertex", "x", "y"))
+        expected["boundary index"] = vertices, np.array(inputs.boundary.tolist())
+        expected["boundary"] = values, np.array([flat[v] for v in inputs.boundary])
+        for name, (got, want) in expected.items():
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert len(mu) > 1024
