@@ -24,7 +24,7 @@ from .errors import (
     SolverFailure,
 )
 from .laplacian import factorize
-from .mesh import TriMesh, data_lines, dot, first_offender, read_rows
+from .mesh import TriMesh, check_planar_orientation, data_lines, dot, first_offender, read_rows
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _ADMISSIBLE_FLOOR = 1e-12
@@ -123,20 +123,24 @@ class BeltramiSystem:
     interior_rows: sp.csr_matrix
 
 
-def _planar_vertices(mesh: TriMesh) -> np.ndarray:
+def planar_vertices(mesh: TriMesh) -> np.ndarray:
+    """The (N, 2) vertices of a 2-d mesh, or of a 3-d one with all |z| <=
+    1e-12 (else ``DimensionMismatch``), whose faces share one orientation
+    sign (else ``InvalidTopology``)."""
     v = mesh.vertices
-    if v.shape[1] == 2:
-        return v
     if v.shape[1] == 3 and np.allclose(v[:, 2], 0.0, atol=1e-12):
-        return v[:, :2]
-    raise DimensionMismatch("beltrami solver needs a planar mesh")
+        v = v[:, :2]
+    if v.shape[1] != 2:
+        raise DimensionMismatch("beltrami solver needs a planar mesh")
+    check_planar_orientation(v, mesh.faces)
+    return v
 
 
 def assemble_beltrami(mesh: TriMesh, mu: BeltramiCoefficient) -> BeltramiSystem:
     """Assemble one constraint row per interior vertex."""
     if len(mu) != mesh.num_faces:
         raise DimensionMismatch("one coefficient pair per face required")
-    v = _planar_vertices(mesh)
+    v = planar_vertices(mesh)
     interior = mesh.interior_vertices()
     row_of = np.full(mesh.num_vertices, -1)
     row_of[interior] = np.arange(len(interior))

@@ -5,9 +5,12 @@ when possible) or an input file that cannot be used, 2 usage or I/O
 errors, flag values outside their domain included.  Any ``DiskmapError``
 raised while reading an input file (OFF mesh, ``mu.csv``,
 ``boundary.csv``) prints as ``input error: ...`` and every other one as
-``numerical failure: ...``; both exit 1.  A ``--config`` file of
-``key = value`` lines overrides flags; unknown keys are rejected.  The
-``DISKMAP_OUTDIR`` environment variable sets the default output root.
+``numerical failure: ...``; both exit 1.  An argument ``@path`` is a
+run manifest: argparse replaces it by the file's lines, one argument
+per line (``--r=0.9166667``; the subcommand may be one of them), and
+converts and checks them like the command line's.  A later argument
+overrides an earlier one.  The ``DISKMAP_OUTDIR`` environment variable
+sets the default output root.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .beltrami import read_boundary_csv, read_mu_csv, solve_beltrami
+from .beltrami import planar_vertices, read_boundary_csv, read_mu_csv, solve_beltrami
 from .bounds import BoundsConfig, build_bound_report, quality_csv, quality_report, scan_degraded_faces
 from .errors import DiskmapError, ParseError
 from .experiments import DEFAULT_N_GRID, emit_report, fit_exponent, run_sweep, sweep_workers
@@ -204,6 +207,7 @@ def cmd_converge(args):
 
 def cmd_beltrami(args):
     mesh = _read(load_mesh, args.mesh)
+    _read(planar_vertices, mesh)
     mu = _read(read_mu_csv, args.mu, mesh.num_faces)
     boundary = _read(read_boundary_csv, args.boundary, mesh)
     solution = solve_beltrami(mesh, mu, boundary)
@@ -239,9 +243,9 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="diskmap",
         description="discrete conformal disk maps with certified error bounds",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=f"diskmap {__version__}")
-    parser.add_argument("--config", help="key = value file overriding flags")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory root")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -292,58 +296,8 @@ def build_parser():
     return parser
 
 
-def _flag_actions(parser, command):
-    """The value flags' argparse actions by dest: the global ones and
-    `command`'s (not --help or --version)."""
-    actions = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            actions.update(_flag_actions(action.choices[command], None))
-        elif action.option_strings and action.default is not argparse.SUPPRESS:
-            actions[action.dest] = action
-    return actions
-
-
-def _apply_config(args, parser):
-    """Overlay config-file values; the file wins over flags so a run
-    manifest reproduces exactly.  Each value is converted and checked
-    like the flag it sets."""
-    path = args.config
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for no, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ValueError(f"{path}:{no}: expected 'key = value'")
-            key, value = (part.strip() for part in body.split("=", 1))
-            values[key.replace("-", "_")] = value
-    actions = _flag_actions(parser, args.command)
-    for key, raw in values.items():
-        action = actions.get(key)
-        if action is None:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        try:
-            value = raw if action.type is None else action.type(raw)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise ValueError(f"{path}: invalid value {raw!r} for {key}") from None
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"{path}: {key} must be one of {', '.join(action.choices)}")
-        setattr(args, key, value)
-    return args
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.config:
-            args = _apply_config(args, parser)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, argparse.ArgumentTypeError) as exc:

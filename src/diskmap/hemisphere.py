@@ -43,10 +43,12 @@ _FACE_RULE = np.full((3, 3), 1.0 / 6.0) + 0.5 * np.eye(3)
 
 
 def sphere_point(w):
-    """Chart evaluation: (phi, psi) -> point on the unit sphere."""
-    phi, psi = w
-    sp = math.sin(psi)
-    return np.array([math.cos(phi) * sp, math.sin(phi) * sp, math.cos(psi)])
+    """Chart evaluation: (phi, psi) -> point on the unit sphere; stacked
+    points w (*S, 2) give stacked points (*S, 3)."""
+    w = np.asarray(w, dtype=float)
+    phi, psi = w[..., 0], w[..., 1]
+    sp = np.sin(psi)
+    return np.stack([np.cos(phi) * sp, np.sin(phi) * sp, np.cos(psi)], axis=-1)
 
 
 def sphere_gradient(w):
@@ -114,18 +116,12 @@ def stereographic_project(v):
 def stereographic_gradient(w):
     """Tangential gradient (2, 3) of the stereographic map at x(w).
 
-    Computed as (d f / d w) (grad^T grad)^{-1} grad^T from the chart
-    partials; valid away from the pole (psi < pi).
+    On the unit sphere the radial projection's Jacobian is the tangent
+    projector, so :func:`_radial_stereographic_jacobian` at x(w) is this
+    gradient; no chart term divides by sin psi, so it holds at the pole
+    too.  Stacked points w (*S, 2) give stacked gradients (*S, 2, 3).
     """
-    phi, psi = w
-    half = 0.5 * psi
-    s = math.cos(half) / math.sin(half)           # radius cot(psi/2)
-    ds = -0.5 / math.sin(half) ** 2
-    cf, sf = math.cos(phi), math.sin(phi)
-    f_w = np.array([[-s * sf, ds * cf], [s * cf, ds * sf]])
-    g = sphere_gradient(w)
-    gram_inv = np.diag([1.0 / math.sin(psi) ** 2, 1.0])
-    return f_w @ gram_inv @ g.T
+    return _radial_stereographic_jacobian(sphere_point(w))
 
 
 def _radial_stereographic_jacobian(x) -> np.ndarray:
@@ -158,13 +154,11 @@ def stereographic_dirichlet_energy(n_phi: int = 64, n_psi: int = 64) -> float:
     yg, vg = np.polynomial.legendre.leggauss(n_psi)
     phis = math.pi * (xg + 1.0)                   # [0, 2pi]
     psis = 0.25 * math.pi * (yg + 1.0) + 0.5 * math.pi  # [pi/2, pi]
-    total = 0.0
-    for phi, wq in zip(phis, wg):
-        for psi, vq in zip(psis, vg):
-            grad = stereographic_gradient((phi, psi))
-            elt = math.sin(psi)                   # sphere area element
-            total += wq * vq * 0.5 * np.sum(grad * grad) * elt
-    return total * math.pi * 0.25 * math.pi
+    w = np.stack(np.meshgrid(phis, psis, indexing="ij"), axis=-1)
+    grad = stereographic_gradient(w)
+    elt = np.sin(w[..., 1])                       # sphere area element
+    integrand = np.outer(wg, vg) * 0.5 * np.sum(grad * grad, axis=(-2, -1)) * elt
+    return float(np.sum(integrand)) * math.pi * 0.25 * math.pi
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,16 @@ from .errors import DegenerateTriangle, InvalidTopology, NonFiniteVertex, ParseE
 DEGENERACY_THRESHOLD = 1e-14
 
 
+def check_planar_orientation(vertices, faces):
+    """Raise ``InvalidTopology`` unless the `faces` (F, 3) on the planar
+    `vertices` (N, 2) all have signed areas of one strict sign."""
+    p = vertices[faces]
+    u, w = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+    if det.size and not ((det > 0).all() or (det < 0).all()):
+        raise InvalidTopology("planar faces do not share one orientation sign")
+
+
 class TriMesh:
     """Oriented triangle mesh in R^m (m >= 2).
 
@@ -79,7 +89,7 @@ class TriMesh:
         self.faces = f
         self._build_edges()
         if self.ambient_dim == 2:
-            self._check_planar_orientation()
+            check_planar_orientation(v, f)
 
     def _build_edges(self):
         f = self.faces
@@ -119,13 +129,6 @@ class TriMesh:
         on = corner_major[counts[inverse[corner_major]] == 1]
         self.boundary_halfedges = np.column_stack([tails[on], heads[on]])
         self.boundary_halfedges.setflags(write=False)
-
-    def _check_planar_orientation(self):
-        p = self.vertices[self.faces]
-        u, w = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-        if det.size and not ((det > 0).all() or (det < 0).all()):
-            raise InvalidTopology("planar faces do not share one orientation sign")
 
     @property
     def num_vertices(self):
@@ -348,20 +351,25 @@ def data_lines(path):
     return lines, np.flatnonzero(np.fromiter(map(str.strip, lines), dtype=bool, count=len(lines)))
 
 
-def read_rows(lines, rows, dtype, what, delimiter=None):
+def read_rows(lines, rows, dtype, what, delimiter=None, valid=None):
     """The data lines `rows` of `lines` as one record of `dtype` per line.
 
     `rows` holds the 0-based indices of the lines to read, in order.
     `dtype` is a record dtype; its columns fix the number of fields a
     line must have.  One ``np.loadtxt`` call reads the lines, so numpy's
-    number syntax is the one grammar of every input table.  Only when
-    numpy refuses them does the same call read one line at a time, to
-    find the first line it refuses: ``ParseError`` names that 1-based
-    line, expecting `what`.
+    number syntax is the one grammar of every input table.  `valid`, if
+    given, maps the records to a boolean array that is true where a
+    record is allowed.  Only when numpy refuses the lines or `valid`
+    rejects a record does the same call read one line at a time, to find
+    the first line that fails either test: ``ParseError`` names that
+    1-based line, expecting `what`.
     """
 
     def read(span):
-        return np.loadtxt(span, dtype=dtype, delimiter=delimiter, ndmin=1)
+        table = np.loadtxt(span, dtype=dtype, delimiter=delimiter, ndmin=1)
+        if valid is not None and not valid(table).all():
+            raise ValueError("record rejected")
+        return table
 
     if not len(rows):
         return np.empty(0, dtype)
@@ -373,14 +381,10 @@ def read_rows(lines, rows, dtype, what, delimiter=None):
         try:
             read([lines[r]])
         except ValueError:
-            raise _refused(lines, r, what) from None
-    # numpy checks each line on its own, so one of them was refused.
-    raise AssertionError("np.loadtxt refused the lines but none of them alone")
-
-
-def _refused(lines, r, what):
-    """The ``ParseError`` for line `r` (0-based) of `lines`, which is not `what`."""
-    return ParseError(f"expected {what}, found {lines[r].strip()!r}", line=int(r) + 1)
+            found = lines[r].strip()
+            raise ParseError(f"expected {what}, found {found!r}", line=int(r) + 1) from None
+    # Both tests look at each line on its own, so one of them failed.
+    raise AssertionError("the lines were refused but none of them alone")
 
 
 def load_mesh(path) -> TriMesh:
@@ -391,8 +395,8 @@ def load_mesh(path) -> TriMesh:
     ``3 i j k``.  Blank lines and ``#`` comments are skipped.  Numbers
     follow numpy's syntax: the counts line and both blocks are read by
     :func:`read_rows`.  A ``ParseError`` names the 1-based number of the
-    first line numpy refuses, or else of the first face line that does
-    not start with 3.
+    first line numpy refuses or, in the face block, that does not start
+    with 3.
     """
     lines, data = data_lines(path)
     if not len(data):
@@ -417,11 +421,10 @@ def load_mesh(path) -> TriMesh:
             line=int(body[-1]) + 1 if len(body) else no,
         )
     verts = read_rows(lines, body[:nv], [("xyz", float, 3)], "a vertex line 'x y z'")
-    face = "a face line '3 i j k'"
-    faces = read_rows(lines, body[nv:], [("three", int), ("ijk", int, 3)], face)
-    not_triangle = faces["three"] != 3
-    if not_triangle.any():
-        raise _refused(lines, body[nv + np.argmax(not_triangle)], face)
+    face = [("three", int), ("ijk", int, 3)]
+    faces = read_rows(
+        lines, body[nv:], face, "a face line '3 i j k'", valid=lambda t: t["three"] == 3
+    )
     return TriMesh(verts["xyz"], faces["ijk"])
 
 

@@ -91,8 +91,11 @@ class MinimizerOptions:
     gradient_tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not self.gradient_tolerance > 0:
-            raise ValueError(f"gradient_tolerance must be positive, got {self.gradient_tolerance}")
+        # NaN fails it too; at inf any start, folded or not, would converge.
+        if not 0 < self.gradient_tolerance < math.inf:
+            raise ValueError(
+                f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance}"
+            )
         if self.max_iterations < 0:
             raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
 

@@ -7,6 +7,7 @@ from diskmap import (
     BeltramiCoefficient,
     DegenerateCoefficient,
     DimensionMismatch,
+    InvalidTopology,
     NonFiniteVertex,
     TriMesh,
     assemble_beltrami,
@@ -213,6 +214,16 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             assemble_beltrami(mesh, BeltramiCoefficient.zero(2))
 
+
+    def test_folded_mesh_rejected_in_2d_and_at_z_0(self):
+        # one of the four fan faces around (1.5, 0.5) is reversed
+        square = [[0, 0], [1, 0], [1, 1], [0, 1], [1.5, 0.5]]
+        fan = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+        with pytest.raises(InvalidTopology, match="orientation sign"):
+            TriMesh(square, fan)
+        flat = TriMesh(np.column_stack([square, np.zeros(5)]), fan)
+        with pytest.raises(InvalidTopology, match="orientation sign"):
+            assemble_beltrami(flat, BeltramiCoefficient.zero(4))
 
 class TestCsvIngestion:
     def test_mu_round_trip(self, tmp_path):

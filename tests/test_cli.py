@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from diskmap import HemisphereSpec, gen_hemisphere, load_mesh, save_mesh
+from diskmap import HemisphereSpec, TriMesh, gen_hemisphere, load_mesh, save_mesh
 from diskmap.cli import _write_vertex_map, main
 
 from conftest import annulus_mesh, planar_disk_mesh
@@ -81,7 +81,8 @@ class TestSolve:
         [
             ("solve", "--quad-order", "99", "quadrature order must be 1 to 5, got 99"),
             ("solve", "--quad-order", "0", "quadrature order must be 1 to 5, got 0"),
-            ("solve", "--grad-tol", "nan", "gradient_tolerance must be positive, got nan"),
+            ("solve", "--grad-tol", "nan", "gradient_tolerance must be finite and positive, got nan"),
+            ("solve", "--grad-tol", "inf", "gradient_tolerance must be finite and positive, got inf"),
             ("solve", "--max-iterations", "-3", "max_iterations must be >= 0, got -3"),
             ("bounds", "--cl", "nan", "bound constants must be finite: map_grad_lipschitz=nan"),
             (
@@ -107,6 +108,7 @@ class TestSolve:
             "quad-order-99",
             "quad-order-0",
             "grad-tol-nan",
+            "grad-tol-inf",
             "max-iterations--3",
             "cl-nan",
             "m-3000000000",
@@ -346,6 +348,29 @@ class TestBeltramiCommand:
         assert not (tmp_path / "beltrami.csv").exists()
 
     @pytest.mark.parametrize(
+        "interior, error",
+        [
+            ([1.5, 0.5, 0.0], "input error: planar faces do not share one orientation sign\n"),
+            ([0.5, 0.5, 0.2], "input error: beltrami solver needs a planar mesh\n"),
+        ],
+        ids=["folded", "not_planar"],
+    )
+    def test_mesh_not_flat_and_unfolded_exit_1(self, tmp_path, capsys, interior, error):
+        # a square fanned around its fifth vertex, saved with z coordinates
+        square = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
+        fan = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+        save_mesh(TriMesh(square + [interior], fan), tmp_path / "square.off")
+        (tmp_path / "mu.csv").write_text("face,mu1,mu2\n")
+        (tmp_path / "bnd.csv").write_text(
+            "vertex,x,y\n" + "".join(f"{v},{x},{y}\n" for v, (x, y, _) in enumerate(square))
+        )
+        args = ["--mesh", str(tmp_path / "square.off"), "--mu", str(tmp_path / "mu.csv")]
+        args += ["--boundary", str(tmp_path / "bnd.csv")]
+        assert run(["--out-dir", str(tmp_path), "beltrami", *args]) == 1
+        assert capsys.readouterr().err == error
+        assert not (tmp_path / "beltrami.csv").exists()
+
+    @pytest.mark.parametrize(
         "row, error",
         [
             ("99999,5,5", "input error: vertex 99999 is not in the mesh"),
@@ -397,6 +422,14 @@ def test_underscore_in_off_number_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: line 5: expected a vertex line")
 
 
+def test_face_line_not_starting_with_3_named_before_a_later_refused_line(tmp_path, capsys):
+    # numpy reads line 7 but it is not a triangle; numpy refuses line 8
+    path = tmp_path / "bad.off"
+    path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2\n3 1 3 1_0\n")
+    assert run(["--out-dir", str(tmp_path), "quality", "--mesh", str(path)]) == 1
+    assert capsys.readouterr().err == "input error: line 7: expected a face line '3 i j k', found '4 0 1 2'\n"
+
+
 @pytest.mark.parametrize("command", ["quality", "solve", "beltrami"])
 @pytest.mark.parametrize(
     "text", ["OFF\n0 0 0\n", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"], ids=["empty", "3_vertices"]
@@ -413,60 +446,83 @@ def test_mesh_without_faces_exit_1(tmp_path, capsys, command, text):
 
 
 class TestConfigFile:
+    """An ``@file`` argument is a run manifest: argparse reads one argument
+    per line from the file and parses them where ``@file`` stands."""
+
+    SOLVE = ["solve", "--n", "8", "--r", "0.9166667"]
+
+    def test_manifest_equals_flags(self, tmp_path):
+        manifest = tmp_path / "run.args"
+        out = tmp_path / "manifest"
+        manifest.write_text(f"--out-dir={out}\nsolve\n--n=8\n--r=0.9166667\n")
+        assert run([f"@{manifest}"]) == 0
+        assert run(["--out-dir", str(tmp_path / "flags"), *self.SOLVE]) == 0
+        for name in ("map.csv", "trace.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+
     def test_config_overrides_flags(self, tmp_path):
-        # the config file is the reproducible run manifest: it wins
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n = 8\nm = 27\n")
-        code = run(["--config", str(cfg), "gen", "--n", "4", "--out", str(tmp_path / "h.off")])
+        # later arguments win, so a manifest after the flags overrides them
+        manifest = tmp_path / "run.args"
+        manifest.write_text("--n=8\n--m=27\n")
+        code = run(["gen", "--n", "4", "--out", str(tmp_path / "h.off"), f"@{manifest}"])
         assert code == 0
         mesh = load_mesh(tmp_path / "h.off")
         assert mesh.num_vertices == 27 * 8 + 1
 
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 3\n")
-        assert run(["--config", str(cfg), "gen", "--n", "4", "--m", "8", "--out", str(tmp_path / "x.off")]) == 2
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        manifest = tmp_path / "run.args"
+        manifest.write_text("--bogus=3\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["gen", "--n", "4", "--m", "8", "--out", str(tmp_path / "x.off"), f"@{manifest}"])
+        assert excinfo.value.code == 2
+        assert "--bogus=3" in capsys.readouterr().err
+        assert not (tmp_path / "x.off").exists()
 
     def test_float_value_for_flag_without_default(self, tmp_path):
         # --r has no default: the value is converted by the flag's type
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("r = 0.9166667\n")
-        code = run(["--config", str(cfg), "gen", "--n", "8", "--out", str(tmp_path / "h.off")])
+        manifest = tmp_path / "run.args"
+        manifest.write_text("--r=0.9166667\n")
+        code = run(["gen", "--n", "8", "--out", str(tmp_path / "h.off"), f"@{manifest}"])
         assert code == 0
         assert load_mesh(tmp_path / "h.off").num_vertices == 6 * 8 + 1
 
     def test_source_face_value_equals_flag(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("source_face = 3\n")
-        solve = ["solve", "--n", "8", "--r", "0.9166667"]
-        assert run(["--config", str(cfg), "--out-dir", str(tmp_path / "cfg"), *solve]) == 0
-        assert run(["--out-dir", str(tmp_path / "flag"), *solve, "--source-face", "3"]) == 0
-        assert run(["--out-dir", str(tmp_path / "default"), *solve]) == 0
+        manifest = tmp_path / "run.args"
+        manifest.write_text("--source-face=3\n")
+        assert run(["--out-dir", str(tmp_path / "cfg"), *self.SOLVE, f"@{manifest}"]) == 0
+        assert run(["--out-dir", str(tmp_path / "flag"), *self.SOLVE, "--source-face", "3"]) == 0
+        assert run(["--out-dir", str(tmp_path / "default"), *self.SOLVE]) == 0
         maps = {name: (tmp_path / name / "map.csv").read_bytes() for name in ("cfg", "flag", "default")}
         assert maps["cfg"] == maps["flag"] != maps["default"]
 
-    @pytest.mark.parametrize("line", ["n = eight", "rho = foo"])
+    @pytest.mark.parametrize("line", ["--n=eight", "--rho=foo"])
     def test_invalid_value_exit_2(self, tmp_path, capsys, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        assert run(["--config", str(cfg), "solve", "--n", "8", "--r", "0.9166667"]) == 2
-        assert line.split()[0] in capsys.readouterr().err
+        manifest = tmp_path / "run.args"
+        manifest.write_text(line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--out-dir", str(tmp_path / "out"), *self.SOLVE, f"@{manifest}"])
+        assert excinfo.value.code == 2
+        assert f"argument {line.split('=')[0]}: invalid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_value_outside_its_domain_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("quad_order = 99\n")
-        solve = ["solve", "--n", "8", "--r", "0.9166667"]
-        assert run(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), *solve]) == 2
+        manifest = tmp_path / "run.args"
+        manifest.write_text("--quad-order=99\n")
+        assert run(["--out-dir", str(tmp_path / "out"), *self.SOLVE, f"@{manifest}"]) == 2
         assert capsys.readouterr().err == "error: quadrature order must be 1 to 5, got 99\n"
 
-    @pytest.mark.parametrize(
-        "key", ["memory", "initial_step", "backtrack_factor", "no_precondition"]
-    )
-    def test_removed_minimizer_key_rejected(self, tmp_path, key):
-        # the minimizer's line-search and memory settings are fixed
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = 5\n")
-        assert run(["--config", str(cfg), "solve", "--n", "8", "--r", "0.9166667"]) == 2
+    def test_missing_manifest_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run([*self.SOLVE, f"@{tmp_path / 'missing.args'}"])
+        assert excinfo.value.code == 2
+        assert "missing.args" in capsys.readouterr().err
+
+    def test_config_flag_exit_2(self, tmp_path):
+        manifest = tmp_path / "run.args"
+        manifest.write_text("--n=8\n")
+        with pytest.raises(SystemExit) as excinfo:
+            run(["--config", str(manifest), *self.SOLVE])
+        assert excinfo.value.code == 2
 
 
 @pytest.mark.parametrize(

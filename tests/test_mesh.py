@@ -25,7 +25,12 @@ from diskmap import (
 )
 
 from diskmap.beltrami import _read_indexed_pairs, read_boundary_csv, read_mu_csv
-from diskmap.hemisphere import MAX_VERTICES
+from diskmap.hemisphere import (
+    MAX_VERTICES,
+    sphere_gradient,
+    stereographic_dirichlet_energy,
+    stereographic_gradient,
+)
 from diskmap.mesh import write_rows
 
 from conftest import annulus_mesh, planar_disk_mesh, random_triangle
@@ -427,6 +432,35 @@ class TestStereographic:
         assert image[1] == pytest.approx(-math.sin(psi) / (1 - math.cos(psi)))
         # radius identity: |image| = tan(psi/2 - pi/4) on this meridian
         assert np.linalg.norm(image) == pytest.approx(math.tan(psi / 2 - math.pi / 4))
+
+    def test_gradient_equals_the_chart_formula(self):
+        # (d f / d w) (grad^T grad)^-1 grad^T, valid away from the pole
+        rng = np.random.default_rng(7)
+        w = np.column_stack([rng.uniform(0, 2 * math.pi, 200), rng.uniform(1.6, 3.1, 200)])
+        grad = stereographic_gradient(w)
+        assert grad.shape == (200, 2, 3)
+        for (phi, psi), g in zip(w, grad):
+            s, ds = 1 / math.tan(psi / 2), -0.5 / math.sin(psi / 2) ** 2  # radius cot(psi/2)
+            f_w = [[-s * math.sin(phi), ds * math.cos(phi)], [s * math.cos(phi), ds * math.sin(phi)]]
+            gram_inv = np.diag([1 / math.sin(psi) ** 2, 1.0])
+            chart = np.array(f_w) @ gram_inv @ sphere_gradient((phi, psi)).T
+            assert np.allclose(g, chart, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(stereographic_gradient((phi, psi)), g)
+
+    def test_dirichlet_energy_equals_the_pointwise_sum(self):
+        (xg, wg), (yg, vg) = (np.polynomial.legendre.leggauss(k) for k in (7, 5))
+        total = 0.0
+        for x, wq in zip(xg, wg):
+            for y, vq in zip(yg, vg):
+                w = (math.pi * (x + 1), 0.25 * math.pi * (y + 1) + 0.5 * math.pi)
+                grad = stereographic_gradient(w)
+                total += wq * vq * 0.5 * np.sum(grad * grad) * math.sin(w[1])
+        expected = total * math.pi * 0.25 * math.pi
+        assert stereographic_dirichlet_energy(7, 5) == pytest.approx(expected, rel=1e-14)
+
+    def test_gradient_at_the_south_pole(self):
+        grad = stereographic_gradient((0.3, math.pi))
+        assert np.allclose(grad, [[0.5, 0, 0], [0, 0.5, 0]], rtol=0, atol=1e-15)
 
     def test_near_pole_rejected(self):
         with pytest.raises(NearPole):

@@ -127,6 +127,11 @@ class TestMinimize:
         with pytest.raises(ValueError):
             minimize(hemi.mesh, lap, bad)
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf])
+    def test_gradient_tolerance_finite_and_positive(self, tolerance):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            MinimizerOptions(gradient_tolerance=tolerance)
+
     def test_zero_iteration_budget(self):
         hemi, lap = hemi_with_laplacian(8)
         reference = hemi.reference_map()
