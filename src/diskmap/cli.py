@@ -82,16 +82,28 @@ def cmd_gen(args):
     return 0
 
 
-def _load_or_generate(args):
-    """Either an OFF mesh (unit weights only) or a generated hemisphere."""
-    if args.mesh is not None:
-        return _read(load_mesh, args.mesh), None
-    hemi = gen_hemisphere(_hemisphere_spec(args))
-    return hemi.mesh, hemi
+def _load_or_generate(args, weights=None):
+    """Either an OFF mesh (unit weights only) or a generated hemisphere.
+
+    With ``--mesh``, a flag that only a generated hemisphere reads is
+    refused rather than ignored: ``--n``, ``--m``, ``--r``, and each flag
+    in `weights` (flag -> value) whose value is not None.
+    """
+    if args.mesh is None:
+        hemi = gen_hemisphere(_hemisphere_spec(args))
+        return hemi.mesh, hemi
+    given = {"--n": args.n, "--m": args.m, "--r": args.r, **(weights or {})}
+    conflicts = [flag for flag, value in given.items() if value is not None]
+    if conflicts:
+        raise argparse.ArgumentTypeError(f"{conflicts[0]} does not apply to --mesh")
+    return _read(load_mesh, args.mesh), None
 
 
 def cmd_solve(args):
-    mesh, hemi = _load_or_generate(args)
+    # solve leaves --rho and --quad-order unset (see build_parser): --mesh
+    # takes unit weights only, and a hemisphere defaults to quadrature, 3.
+    rho = None if args.rho == "unit" else args.rho
+    mesh, hemi = _load_or_generate(args, {f"--rho {rho}": rho, "--quad-order": args.quad_order})
     if hemi is None:
         _read(require_disk, mesh)
         laplacian = assemble_laplacian(mesh, rho_mode="unit")
@@ -99,10 +111,10 @@ def cmd_solve(args):
     else:
         laplacian = assemble_laplacian(
             mesh,
-            rho_mode=args.rho,
+            rho_mode=args.rho or "quadrature",
             surface=hemi.surface,
             param_cells=hemi.param_cells,
-            quad_order=args.quad_order,
+            quad_order=3 if args.quad_order is None else args.quad_order,
         )
         source = face_nearest(mesh, np.array([0.0, 0.0, -1.0]))
     if args.source_face is not None:
@@ -260,7 +272,7 @@ def build_parser():
     _add_rho_args(p)
     _add_minimizer_args(p)
     p.add_argument("--source-face", type=int, dest="source_face")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, rho=None, quad_order=None)
 
     p = sub.add_parser("quality", help="per-face shape diagnostics")
     p.add_argument("--mesh")

@@ -232,25 +232,24 @@ class EnergyEvaluation:
 class ConformalEnergy:
     """The conformal energy E(f) = 0.5 <L f, f> - A(f) on one mesh.
 
-    Built once per mesh from the Laplacian L and the boundary operator P
-    of :func:`_ring_sum_operator`; the mapped area is
-    A(f) = 0.25 <f, rot90(P f)> and the per-vertex gradient is
+    Built once per mesh as one CSR operator [L; P]: the Laplacian L over
+    the boundary operator P of :func:`_ring_sum_operator`.  The mapped
+    area is A(f) = 0.25 <f, rot90(P f)> and the per-vertex gradient is
     L f - 0.5 rot90(P f), whose area part is zero at interior vertices.
-    :meth:`evaluate` forms L f and P f once and keeps them; the call and
-    :meth:`gradient` read their parts of it.  All three take a finite
-    (V, 2) float map and do not check it; :func:`conformal_energy` and
-    :func:`energy_gradient` validate their input first.
+    :meth:`evaluate` forms L f and P f with one product, each row summed
+    as in L or P alone, and keeps them; the call and :meth:`gradient` read
+    their parts of it.  All three take a finite (V, 2) float map and do
+    not check it; :func:`conformal_energy` and :func:`energy_gradient`
+    validate their input first.
     """
 
     def __init__(self, mesh: TriMesh, laplacian: CotanLaplacian):
         if laplacian.size != mesh.num_vertices:
             raise DimensionMismatch("laplacian size does not match the mesh")
-        self.matrix = laplacian.matrix
-        self.ring = _ring_sum_operator(mesh)
+        self.operator = sp.vstack([laplacian.matrix, _ring_sum_operator(mesh)], format="csr")
 
     def evaluate(self, f: np.ndarray) -> EnergyEvaluation:
-        lf = self.matrix @ f
-        pf = self.ring @ f
+        lf, pf = np.split(self.operator @ f, 2)
         energy = EnergyBreakdown(
             dirichlet=0.5 * float(np.sum(f * lf)),
             area=0.25 * float(np.sum(f[:, 0] * pf[:, 1] - f[:, 1] * pf[:, 0])),

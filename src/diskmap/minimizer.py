@@ -150,57 +150,6 @@ class SolveReport:
             )
 
 
-class _DiskProblem:
-    """Reduced variables (interior coordinates, boundary angles) and the
-    preconditioner on them.
-
-    ``flat`` indexes the interior coordinates in a raveled (V, 2) map, in
-    the order of the reduced vector: x0, y0, x1, y1, ... of
-    ``interior``.
-    """
-
-    def __init__(self, mesh, laplacian):
-        self.num_vertices = mesh.num_vertices
-        self.boundary = mesh.boundary_vertices
-        self.interior = mesh.interior_vertices()
-        self.n_int = len(self.interior)
-        self.flat = (2 * self.interior[:, None] + np.arange(2)).ravel()
-        matrix = laplacian.matrix
-        self.lu = None
-        if self.n_int:
-            self.lu = factorize(matrix[self.interior][:, self.interior])
-        diag = np.asarray(matrix[self.boundary, self.boundary]).ravel()
-        self.theta_scale = np.maximum(diag, 1e-12)
-
-    def assemble(self, x):
-        """The vertex map of reduced variables `x`, and its boundary angles."""
-        theta = x[2 * self.n_int :]
-        f = np.empty((self.num_vertices, 2))
-        f.reshape(-1)[self.flat] = x[: 2 * self.n_int]
-        f[self.boundary, 0] = np.cos(theta)
-        f[self.boundary, 1] = np.sin(theta)
-        return f, theta
-
-    def reduce(self, g, theta):
-        """Per-vertex gradient `g` as a gradient in the reduced variables:
-        the interior coordinates, then each boundary vertex's component
-        along the tangent (-sin theta, cos theta)."""
-        out = np.empty(len(self.flat) + len(theta))
-        np.take(g.reshape(-1), self.flat, out=out[: len(self.flat)])
-        g_b = g[self.boundary]
-        out[len(self.flat) :] = g_b[:, 1] * np.cos(theta) - g_b[:, 0] * np.sin(theta)
-        return out
-
-    def precondition(self, v):
-        out = np.empty_like(v)
-        if self.n_int:
-            out[: 2 * self.n_int] = self.lu.solve(
-                v[: 2 * self.n_int].reshape(-1, 2)
-            ).ravel()
-        out[2 * self.n_int :] = v[2 * self.n_int :] / self.theta_scale
-        return out
-
-
 def minimize(
     mesh: TriMesh,
     laplacian: CotanLaplacian,
@@ -232,15 +181,50 @@ def minimize(
             "initial boundary vertices must lie within 0.1 of the unit circle"
         )
 
+    # Reduced variables: the interior coordinates x0, y0, x1, y1, ... at
+    # the indices `flat` of a raveled (V, 2) map, then the boundary angles.
     conformal = ConformalEnergy(mesh, laplacian)
-    problem = _DiskProblem(mesh, laplacian)
-    theta0 = np.arctan2(init[boundary, 1], init[boundary, 0])
-    x = np.concatenate([init[problem.interior].ravel(), theta0])
+    interior = mesh.interior_vertices()
+    flat = (2 * interior[:, None] + np.arange(2)).ravel()
+    n_flat = len(flat)
+    lu = factorize(laplacian.matrix[interior][:, interior]) if n_flat else None
+    theta_scale = np.maximum(laplacian.matrix.diagonal()[boundary], 1e-12)
 
-    f, theta = problem.assemble(x)
+    def assemble(x):
+        """The vertex map of reduced variables `x`, and its boundary angles."""
+        theta = x[n_flat:]
+        f = np.empty((mesh.num_vertices, 2))
+        f.reshape(-1)[flat] = x[:n_flat]
+        f[boundary, 0] = np.cos(theta)
+        f[boundary, 1] = np.sin(theta)
+        return f, theta
+
+    def reduce(point, theta):
+        """The gradient L f - 0.5 rot90(P f) of an evaluation in the reduced
+        variables: L f at the interior coordinates, where P f is 0, then
+        each boundary vertex's component along the tangent
+        (-sin theta, cos theta)."""
+        out = np.empty(n_flat + len(theta))
+        np.take(point.lf.reshape(-1), flat, out=out[:n_flat])
+        lf, pf = point.lf[boundary], point.pf[boundary]
+        gx, gy = lf[:, 0] - 0.5 * pf[:, 1], lf[:, 1] + 0.5 * pf[:, 0]
+        out[n_flat:] = gy * np.cos(theta) - gx * np.sin(theta)
+        return out
+
+    def precondition(v):
+        out = np.empty_like(v)
+        if n_flat:
+            out[:n_flat] = lu.solve(v[:n_flat].reshape(-1, 2)).ravel()
+        out[n_flat:] = v[n_flat:] / theta_scale
+        return out
+
+    theta0 = np.arctan2(init[boundary, 1], init[boundary, 0])
+    x = np.concatenate([init[interior].ravel(), theta0])
+
+    f, theta = assemble(x)
     point = conformal.evaluate(f)
     current = point.energy
-    g = problem.reduce(point.gradient(), theta)
+    g = reduce(point, theta)
 
     trace = [current]
     grad_norm = _norm(g)
@@ -268,7 +252,7 @@ def minimize(
             if energy + step * slope == energy:
                 return None, True
             x_new = x + step * direction
-            f_new, theta_new = problem.assemble(x_new)
+            f_new, theta_new = assemble(x_new)
             trial = conformal.evaluate(f_new)
             evaluations += 1
             e_new = trial.energy.conformal
@@ -292,21 +276,21 @@ def minimize(
             a = _dot(s, q) / ys
             alphas.append(a)
             q -= a * y
-        q = problem.precondition(q)
+        q = precondition(q)
         for (s, y, ys), a in zip(pairs, reversed(alphas)):
             q += (a - _dot(y, q) / ys) * s
         direction = -q
 
         slope = _dot(g, direction)
         if slope > -1e-14 * _norm(direction) * grad_norm:
-            direction = -problem.precondition(g)
+            direction = -precondition(g)
             slope = _dot(g, direction)
             pairs.clear()
         result, at_floor = backtrack(direction, slope)
         if result is None and pairs:
             # Curvature model rejected; retry with the plain direction.
             pairs.clear()
-            direction = -problem.precondition(g)
+            direction = -precondition(g)
             slope = _dot(g, direction)
             result, at_floor = backtrack(direction, slope)
         if result is None:
@@ -325,7 +309,7 @@ def minimize(
 
         x_new, f, theta, point = result
         current = point.energy
-        g_new = problem.reduce(point.gradient(), theta)
+        g_new = reduce(point, theta)
         s = x_new - x
         y = g_new - g
         ys = _dot(y, s)

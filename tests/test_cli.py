@@ -69,6 +69,47 @@ class TestSolve:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["solve", "--mesh", str(tmp_path / "nope.off")]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--rho", "analytic", "--quad-order", "5"], "--rho analytic"),
+            (["--rho", "quadrature"], "--rho quadrature"),
+            (["--quad-order", "3"], "--quad-order"),
+            (["--n", "64", "--r", "0.9"], "--n"),
+            (["--m", "5"], "--m"),
+            (["--r", "0.9"], "--r"),
+        ],
+    )
+    def test_hemisphere_flags_with_a_mesh_exit_2(self, tmp_path, capsys, flags, error):
+        path = tmp_path / "disk.off"
+        save_mesh(planar_disk_mesh(6, 9), path)
+        assert run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {error} does not apply to --mesh\n"
+        assert not (tmp_path / "map.csv").exists()
+
+    def test_mesh_takes_unit_weights_by_default(self, tmp_path):
+        path = tmp_path / "disk.off"
+        save_mesh(planar_disk_mesh(6, 9), path)
+        maps = []
+        for flags in ([], ["--rho", "unit"]):
+            out = tmp_path / f"out{len(flags)}"
+            solve = ["solve", "--mesh", str(path), "--grad-tol", "1e-5", *flags]
+            assert run(["--out-dir", str(out), *solve]) == 0
+            maps.append((out / "map.csv").read_bytes())
+        assert maps[0] == maps[1]
+
+    def test_hemisphere_weights_default_to_quadrature_order_3(self, tmp_path):
+        maps = {}
+        for name, flags in [
+            ("default", []),
+            ("explicit", ["--rho", "quadrature", "--quad-order", "3"]),
+            ("unit", ["--rho", "unit"]),
+        ]:
+            solve = ["solve", "--n", "8", "--r", "0.9166667", *flags]
+            assert run(["--out-dir", str(tmp_path / name), *solve]) == 0
+            maps[name] = (tmp_path / name / "map.csv").read_bytes()
+        assert maps["default"] == maps["explicit"] != maps["unit"]
+
     @pytest.mark.parametrize("face", ["999999", "-1"])
     def test_source_face_outside_the_mesh_exit_2(self, tmp_path, capsys, face):
         solve = ["solve", "--n", "8", "--r", "0.9166667", "--source-face", face]
@@ -173,6 +214,16 @@ class TestQuality:
         assert run(["--out-dir", str(tmp_path), "quality", "--mesh", str(path)]) == 0
         lines = (tmp_path / "quality.csv").read_text().splitlines()
         assert lines[1].split(",")[-1] == "1"
+
+    @pytest.mark.parametrize(
+        "flags, error", [(["--n", "8", "--m", "5"], "--n"), (["--m", "5"], "--m"), (["--r", "0.5"], "--r")]
+    )
+    def test_hemisphere_flags_with_a_mesh_exit_2(self, tmp_path, capsys, flags, error):
+        path = tmp_path / "disk.off"
+        save_mesh(planar_disk_mesh(6, 9), path)
+        assert run(["--out-dir", str(tmp_path), "quality", "--mesh", str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {error} does not apply to --mesh\n"
+        assert not (tmp_path / "quality.csv").exists()
 
     def test_hemisphere_quality(self, tmp_path):
         assert run(["--out-dir", str(tmp_path), "quality", "--n", "8", "--m", "27"]) == 0

@@ -470,11 +470,13 @@ class TestOperatorOracles:
 
         energy = ConformalEnergy(mesh, lap)
         ring = face_corner_ring(mesh)
-        assert energy.ring.nnz == 2 * len(mesh.boundary_edges)
+        assert energy.operator.nnz == lap.matrix.nnz + 2 * len(mesh.boundary_edges)
         rng = np.random.default_rng(7)
         for f in (mesh.vertices[:, :2].copy(), rng.normal(size=(mesh.num_vertices, 2))):
             pf = ring @ f
-            assert np.array_equal(energy.ring @ f, pf)
+            point = energy.evaluate(f)
+            assert np.array_equal(point.pf, pf)
+            assert np.array_equal(point.lf, matrix @ f)
             parts = energy(f)
             assert parts.dirichlet == 0.5 * float(np.sum(f * (matrix @ f)))
             assert parts.area == 0.25 * float(np.sum(f[:, 0] * pf[:, 1] - f[:, 1] * pf[:, 0]))

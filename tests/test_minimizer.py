@@ -232,21 +232,30 @@ class TestDot:
         assert minimizer._dot(a, b) == pytest.approx(a @ b, rel=1e-12)
 
 
-class TestDiskProblem:
-    def test_flat_index_matches_row_indexing(self):
+class TestReducedVariables:
+    def test_start_and_reduced_gradient_bit_for_bit(self):
+        # With no iteration, minimize reports its assembled start and the
+        # norm of the reduced gradient there: the interior rows of the
+        # gradient, then the boundary rows' tangential components.
         hemi, lap = hemi_with_laplacian(8)
         mesh = hemi.mesh
-        problem = minimizer._DiskProblem(mesh, lap)
+        boundary, interior = mesh.boundary_vertices, mesh.interior_vertices()
         rng = np.random.default_rng(3)
-        x = rng.normal(size=2 * problem.n_int + len(mesh.boundary_vertices))
-        f, theta = problem.assemble(x)
-        assert np.array_equal(f[problem.interior].ravel(), x[: 2 * problem.n_int])
-        g = rng.normal(size=(mesh.num_vertices, 2))
-        tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
-        expected = np.concatenate(
-            [g[problem.interior].ravel(), np.sum(g[mesh.boundary_vertices] * tangent, axis=1)]
-        )
-        assert np.array_equal(problem.reduce(g, theta), expected)
+        init = rng.normal(scale=0.3, size=(mesh.num_vertices, 2))
+        angles = rng.uniform(-np.pi, np.pi, len(boundary))
+        radii = rng.uniform(0.95, 1.05, len(boundary))
+        init[boundary] = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+        theta0 = np.arctan2(init[boundary, 1], init[boundary, 0])
+        start = init.copy()
+        start[boundary] = np.column_stack([np.cos(theta0), np.sin(theta0)])
+
+        report = minimize(mesh, lap, init, MinimizerOptions(max_iterations=0))
+        assert report.iterations == 0
+        assert np.array_equal(report.final_map, start)
+        g = energy_gradient(mesh, lap, start)
+        tangent = np.column_stack([-np.sin(theta0), np.cos(theta0)])
+        reduced = np.concatenate([g[interior].ravel(), np.sum(g[boundary] * tangent, axis=1)])
+        assert report.gradient_norms == [minimizer._norm(reduced)]
 
 
 def _solve_bytes(out_dir, threads):
