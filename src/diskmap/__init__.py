@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .beltrami import (
     BeltramiCoefficient,
-    BeltramiSystem,
     assemble_beltrami,
     beltrami_matrix,
     face_weights,
@@ -53,8 +52,6 @@ from .experiments import (
     solve_hemisphere_case,
 )
 from .harmonic import (
-    HarmonicSolution,
-    SourceTerm,
     dirac_source,
     disk_initial_guess,
     face_nearest,

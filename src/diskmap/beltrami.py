@@ -5,7 +5,8 @@ planar map g is encoded by a 2 x 2 matrix built from the per-face
 coefficient (mu1, mu2); summing the per-face constraints around each
 interior vertex yields one linear row per interior vertex, and boundary
 values close the system.  At mu = 0 the assembled interior rows reduce to
-the plain cotangent Laplacian.
+the plain cotangent Laplacian.  The rows are one CSR matrix whose row r
+belongs to vertex ``mesh.interior_vertices()[r]``.
 """
 
 from __future__ import annotations
@@ -110,19 +111,6 @@ def face_weights(v_i, v_j, v_k, mu1, mu2) -> np.ndarray:
     return np.stack([dot(e, vhat) for e in (vjk, vki, vij)], axis=-1) / (2.0 * area2[..., None])
 
 
-@dataclass(frozen=True)
-class BeltramiSystem:
-    """Assembled interior rows and the vertex partition.
-
-    ``interior_rows`` is (num interior) x (num vertices); each row sums
-    to zero and touches only the vertex's one-ring.
-    """
-
-    interior: np.ndarray
-    boundary: np.ndarray
-    interior_rows: sp.csr_matrix
-
-
 def planar_vertices(mesh: TriMesh) -> np.ndarray:
     """The (N, 2) vertices of a 2-d mesh, or of a 3-d one with all |z| <=
     1e-12 (else ``DimensionMismatch``), whose faces share one orientation
@@ -136,8 +124,13 @@ def planar_vertices(mesh: TriMesh) -> np.ndarray:
     return v
 
 
-def assemble_beltrami(mesh: TriMesh, mu: BeltramiCoefficient) -> BeltramiSystem:
-    """Assemble one constraint row per interior vertex."""
+def assemble_beltrami(mesh: TriMesh, mu: BeltramiCoefficient) -> sp.csr_matrix:
+    """Assemble one constraint row per interior vertex.
+
+    Returns the (num interior) x (num vertices) CSR rows, in
+    ``mesh.interior_vertices()`` order; each row sums to zero and touches
+    only the vertex's one-ring.
+    """
     if len(mu) != mesh.num_faces:
         raise DimensionMismatch("one coefficient pair per face required")
     v = planar_vertices(mesh)
@@ -153,12 +146,7 @@ def assemble_beltrami(mesh: TriMesh, mu: BeltramiCoefficient) -> BeltramiSystem:
     rows = np.repeat(row_of[ids[..., 0]][keep], 3)
     cols = ids[keep].ravel()
     vals = w[keep].ravel()
-    matrix = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(len(interior), mesh.num_vertices)
-    )
-    return BeltramiSystem(
-        interior=interior, boundary=mesh.boundary_vertices, interior_rows=matrix
-    )
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(interior), mesh.num_vertices))
 
 
 def solve_beltrami(mesh: TriMesh, mu: BeltramiCoefficient, boundary_values) -> np.ndarray:
@@ -175,14 +163,13 @@ def solve_beltrami(mesh: TriMesh, mu: BeltramiCoefficient, boundary_values) -> n
     SolverFailure
         If the relative residual exceeds 1e-10.
     """
-    system = assemble_beltrami(mesh, mu)
+    rows = assemble_beltrami(mesh, mu)
+    interior, boundary = mesh.interior_vertices(), mesh.boundary_vertices
     g_b = np.asarray(boundary_values, dtype=float)
-    if g_b.shape != (len(system.boundary), 2):
-        raise DimensionMismatch(
-            f"expected boundary values of shape ({len(system.boundary)}, 2)"
-        )
-    block_ii = system.interior_rows[:, system.interior].tocsc()
-    block_ib = system.interior_rows[:, system.boundary]
+    if g_b.shape != (len(boundary), 2):
+        raise DimensionMismatch(f"expected boundary values of shape ({len(boundary)}, 2)")
+    block_ii = rows[:, interior].tocsc()
+    block_ib = rows[:, boundary]
     rhs = -block_ib @ g_b
     try:
         lu = factorize(block_ii)
@@ -194,8 +181,8 @@ def solve_beltrami(mesh: TriMesh, mu: BeltramiCoefficient, boundary_values) -> n
     if not np.isfinite(g_i).all() or residual > _RESIDUAL_TOL:
         raise SolverFailure(f"relative residual {residual:.3e} exceeds 1e-10")
     g = np.empty((mesh.num_vertices, 2))
-    g[system.interior] = g_i
-    g[system.boundary] = g_b
+    g[interior] = g_i
+    g[boundary] = g_b
     return g
 
 

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 numerical failure (a report is still written
 when possible) or an input file that cannot be used, 2 usage or I/O
-errors, flag values outside their domain included.  Any ``DiskmapError``
+errors, flag values outside their domain and flags the run would not
+read (``--quad-order`` off quadrature weights) included.  ``solve``
+exits 1 when its final map folds a face or puts the boundary out of
+cyclic order, even where the gradient test passed.  Any ``DiskmapError``
 raised while reading an input file (OFF mesh, ``mu.csv``,
 ``boundary.csv``) prints as ``input error: ...`` and every other one as
 ``numerical failure: ...``; both exit 1.  An argument ``@path`` is a
@@ -49,6 +52,26 @@ def _hemisphere_spec(args):
     if args.r is not None:
         return HemisphereSpec.from_exponent(args.n, args.r)
     raise argparse.ArgumentTypeError("need either --m or --r with --n")
+
+
+def _weight_flags(args):
+    """The area-ratio mode and quadrature order of a generated hemisphere:
+    ``--rho`` (default quadrature) and ``--quad-order`` (default 3), which
+    any mode but quadrature refuses rather than ignores."""
+    rho = args.rho or "quadrature"
+    if args.quad_order is None:
+        return rho, 3
+    if rho != "quadrature":
+        raise argparse.ArgumentTypeError(f"--quad-order does not apply to --rho {rho}")
+    return rho, args.quad_order
+
+
+def _boundary_out_of_order(mesh, f) -> int:
+    """Boundary vertices whose image's angle step to the next vertex along
+    ``mesh.boundary_loops()[0]`` is <= 0 (0 when the boundary runs round
+    the circle in the loop's order)."""
+    z = f[mesh.boundary_loops()[0]] @ np.array([1.0, 1j])
+    return int(np.sum(np.angle(np.roll(z, -1) * np.conj(z)) <= 0))
 
 
 def _minimizer_options(args):
@@ -100,8 +123,8 @@ def _load_or_generate(args, weights=None):
 
 
 def cmd_solve(args):
-    # solve leaves --rho and --quad-order unset (see build_parser): --mesh
-    # takes unit weights only, and a hemisphere defaults to quadrature, 3.
+    # solve leaves --rho unset (see build_parser): --mesh takes unit
+    # weights only, and a hemisphere defaults to quadrature, order 3.
     rho = None if args.rho == "unit" else args.rho
     mesh, hemi = _load_or_generate(args, {f"--rho {rho}": rho, "--quad-order": args.quad_order})
     if hemi is None:
@@ -109,12 +132,13 @@ def cmd_solve(args):
         laplacian = assemble_laplacian(mesh, rho_mode="unit")
         source = face_nearest(mesh, mesh.vertices.mean(axis=0))
     else:
+        rho_mode, quad_order = _weight_flags(args)
         laplacian = assemble_laplacian(
             mesh,
-            rho_mode=args.rho or "quadrature",
+            rho_mode=rho_mode,
             surface=hemi.surface,
             param_cells=hemi.param_cells,
-            quad_order=3 if args.quad_order is None else args.quad_order,
+            quad_order=quad_order,
         )
         source = face_nearest(mesh, np.array([0.0, 0.0, -1.0]))
     if args.source_face is not None:
@@ -133,6 +157,14 @@ def cmd_solve(args):
         f"iterations={report.iterations} converged={report.converged} "
         f"folds={report.fold_count} stop: {report.message}"
     )
+    disordered = _boundary_out_of_order(mesh, report.final_map)
+    if report.fold_count or disordered:
+        print(
+            f"numerical failure: the map is folded: {report.fold_count} faces with "
+            f"negative area, {disordered} boundary vertices out of cyclic order",
+            file=sys.stderr,
+        )
+        return NUMERICAL_ERROR
     return 0 if report.converged else NUMERICAL_ERROR
 
 
@@ -152,14 +184,15 @@ def cmd_quality(args):
 
 
 def cmd_bounds(args):
+    rho_mode, quad_order = _weight_flags(args)
     hemi = gen_hemisphere(_hemisphere_spec(args))
     mesh = hemi.mesh
     laplacian = assemble_laplacian(
         mesh,
-        rho_mode=args.rho,
+        rho_mode=rho_mode,
         surface=hemi.surface,
         param_cells=hemi.param_cells,
-        quad_order=args.quad_order,
+        quad_order=quad_order,
     )
     reference = hemi.reference_map()
     energy = dirichlet_energy(laplacian, reference)
@@ -183,13 +216,14 @@ def cmd_bounds(args):
 
 
 def cmd_converge(args):
+    rho_mode, quad_order = _weight_flags(args)
     start = time.perf_counter()
     rows = run_sweep(
         args.r,
         args.n_list,
         options=_minimizer_options(args),
-        rho_mode=args.rho,
-        quad_order=args.quad_order,
+        rho_mode=rho_mode,
+        quad_order=quad_order,
     )
     total = time.perf_counter() - start
     fit = None
@@ -243,7 +277,9 @@ def _add_rho_args(p):
         default="quadrature",
         help="area-ratio weight mode for generated surfaces",
     )
-    p.add_argument("--quad-order", type=int, default=3, dest="quad_order")
+    p.add_argument(
+        "--quad-order", type=int, dest="quad_order", help="quadrature weights only (default 3)"
+    )
 
 
 def _add_minimizer_args(p):
@@ -272,7 +308,7 @@ def build_parser():
     _add_rho_args(p)
     _add_minimizer_args(p)
     p.add_argument("--source-face", type=int, dest="source_face")
-    p.set_defaults(func=cmd_solve, rho=None, quad_order=None)
+    p.set_defaults(func=cmd_solve, rho=None)
 
     p = sub.add_parser("quality", help="per-face shape diagnostics")
     p.add_argument("--mesh")

@@ -5,11 +5,11 @@ A derivative-of-delta source concentrated in one face turns the singular
 Laplacian system into L f = b with exactly three nonzero rows; pinning
 one vertex at the origin makes the reduced system nonsingular on a
 connected mesh, and solutions for different pins differ by constants.
+Both b and the solution are plain (V, 2) arrays: the solve checks its
+own residual and raises rather than return a failed map.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,27 +42,10 @@ def source_pairs(v_i, v_j, v_k) -> np.ndarray:
     return np.array([root[0], root[1] - root[0], -root[1]])
 
 
-@dataclass(frozen=True)
-class SourceTerm:
-    """Right-hand side of the weak point-source system.
-
-    ``face`` is the source face, ``vertex_ids`` its three vertices, and
-    ``rows`` the matching (a, -b) / (2 area) pairs; the dense right-hand
-    side is zero everywhere else.
-    """
-
-    face: int
-    vertex_ids: np.ndarray
-    rows: np.ndarray
-
-    def dense(self, size: int) -> np.ndarray:
-        b = np.zeros((size, 2))
-        b[self.vertex_ids] = self.rows
-        return b
-
-
-def dirac_source(mesh: TriMesh, face: int) -> SourceTerm:
-    """Source term for a derivative-of-delta point load inside `face`.
+def dirac_source(mesh: TriMesh, face: int) -> np.ndarray:
+    """Dense (V, 2) right-hand side of a derivative-of-delta point load
+    inside `face`: the (a, -b) / (2 area) pairs of ``source_pairs`` on the
+    face's three vertices and zero everywhere else.
 
     Raises ValueError if `face` is not in [0, F).
     """
@@ -71,12 +54,9 @@ def dirac_source(mesh: TriMesh, face: int) -> SourceTerm:
     v_i, v_j, v_k = mesh.face_points(face)
     pairs = source_pairs(v_i, v_j, v_k)
     double_area = 2.0 * triangle_metrics(v_i, v_j, v_k).area
-    rows = np.column_stack([pairs[:, 0], -pairs[:, 1]]) / double_area
-    return SourceTerm(
-        face=int(face),
-        vertex_ids=mesh.faces[face].copy(),
-        rows=rows,
-    )
+    b = np.zeros((mesh.num_vertices, 2))
+    b[mesh.faces[face]] = np.column_stack([pairs[:, 0], -pairs[:, 1]]) / double_area
+    return b
 
 
 def face_nearest(mesh: TriMesh, point) -> int:
@@ -86,26 +66,14 @@ def face_nearest(mesh: TriMesh, point) -> int:
     return int(np.argmin(np.linalg.norm(centroids - point, axis=1)))
 
 
-@dataclass(frozen=True)
-class HarmonicSolution:
-    """Solution of the pinned weak system.
-
-    ``values`` is the full (n, 2) map with the pinned vertex at the
-    origin; ``residual`` is the relative residual of the reduced system.
-    """
-
-    values: np.ndarray
-    residual: float
-
-
-def solve_weak_lb(
-    laplacian: CotanLaplacian, source: SourceTerm, pin_vertex: int = 0
-) -> HarmonicSolution:
+def solve_weak_lb(laplacian: CotanLaplacian, b: np.ndarray, pin_vertex: int = 0) -> np.ndarray:
     """Solve L f = b with one vertex pinned to the origin.
 
-    The pinned row and column are removed, the reduced symmetric system
-    is factorized directly, and the reduced relative residual must come
-    out below 1e-10.
+    `b` is the dense (V, 2) right-hand side of ``dirac_source``.  The
+    pinned row and column are removed, the reduced symmetric system is
+    factorized directly, and the reduced relative residual
+    ||L_kk f_k - b_k|| / ||b_k|| must come out below 1e-10.  Returns the
+    full (V, 2) map with the pinned vertex at the origin.
 
     Raises
     ------
@@ -115,7 +83,6 @@ def solve_weak_lb(
         If the solve succeeds but the residual check fails.
     """
     n = laplacian.size
-    b = source.dense(n)
     keep = np.concatenate([np.arange(pin_vertex), np.arange(pin_vertex + 1, n)])
     reduced = laplacian.matrix[keep][:, keep].tocsc()
     rhs = b[keep]
@@ -130,7 +97,7 @@ def solve_weak_lb(
         raise SolverFailure(f"reduced residual {residual:.3e} exceeds 1e-10")
     values = np.zeros((n, 2))
     values[keep] = x
-    return HarmonicSolution(values=values, residual=residual)
+    return values
 
 
 def disk_initial_guess(
@@ -145,8 +112,8 @@ def disk_initial_guess(
     to positive orientation if needed, and its boundary snapped onto the
     unit circle.
     """
-    solution = solve_weak_lb(laplacian, dirac_source(mesh, source_face), pin_vertex)
-    g = solution.values - solution.values[mesh.boundary_vertices].mean(axis=0)
+    values = solve_weak_lb(laplacian, dirac_source(mesh, source_face), pin_vertex)
+    g = values - values[mesh.boundary_vertices].mean(axis=0)
     norms_sq = np.sum(g * g, axis=1)
     norms_sq = np.maximum(norms_sq, 1e-300)
     f = g / norms_sq[:, None]

@@ -117,6 +117,9 @@ class SolveReport:
     predicted decrease is below the rounding of the energy, where the
     search ends; and "line search found no lower energy", when the trial
     steps ran out before that point.  The last two give the gradient norm.
+    ``converged`` is the gradient test alone: a converged map may still
+    fold faces or put the boundary out of cyclic order, which ``diskmap
+    solve`` checks separately (exit 1).
     """
 
     final_map: np.ndarray

@@ -47,6 +47,35 @@ def annulus_mesh(rings=3, m=12):
     return TriMesh(vertices, faces)
 
 
+def thin_l_mesh(arm=5, cells=8):
+    """Planar L at z = 0: the arms [0, arm] x [0, 1] and [0, 1] x [0, arm],
+    `cells` square cells per unit, each split in two along its rising
+    diagonal (657 vertices and 1152 faces by default).  Its conformal
+    map crowds the arms' far boundary past what the mesh resolves, and
+    the minimizer's map folds."""
+    k = arm * cells
+    grid = [(i, j) for j in range(k + 1) for i in range(k + 1) if min(i, j) <= cells]
+    index = {p: t for t, p in enumerate(grid)}
+    faces = []
+    for i, j in grid:
+        if max(i, j) < k and min(i, j) < cells:
+            a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+            faces += [[a, b, c], [a, c, d]]
+    vertices = np.array(grid, dtype=float) / cells
+    return TriMesh(np.column_stack([vertices, np.zeros(len(grid))]), faces)
+
+
+class WrongFactor:
+    """Stands in for ``laplacian.factorize``: a factorization whose solve
+    returns ones, so a solver's own residual check must catch it."""
+
+    def __init__(self, matrix):
+        pass
+
+    def solve(self, rhs):
+        return np.ones_like(rhs)
+
+
 def random_triangle(rng, dim=2, scale=1.0, min_quality=1e-3):
     """Random non-degenerate triangle, resampled until area > quality * d^2."""
     while True:

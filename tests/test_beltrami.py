@@ -9,6 +9,8 @@ from diskmap import (
     DimensionMismatch,
     InvalidTopology,
     NonFiniteVertex,
+    SingularSystem,
+    SolverFailure,
     TriMesh,
     assemble_beltrami,
     assemble_laplacian,
@@ -16,9 +18,10 @@ from diskmap import (
     face_weights,
     solve_beltrami,
 )
+from diskmap import beltrami
 from diskmap.beltrami import read_boundary_csv, read_mu_csv
 
-from conftest import planar_disk_mesh, random_triangle
+from conftest import WrongFactor, planar_disk_mesh, random_triangle
 
 QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -85,10 +88,10 @@ class TestFaceWeights:
         # assembled interior operator at mu = 0 equals the plain
         # cotangent Laplacian rows, entrywise, up to one global sign
         mesh = planar_disk_mesh(6, 9)
-        system = assemble_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces))
+        rows = assemble_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces))
         lap = assemble_laplacian(mesh, rho_mode="unit")
-        reference = lap.matrix[system.interior].toarray()
-        assembled = system.interior_rows.toarray()
+        reference = lap.matrix[mesh.interior_vertices()].toarray()
+        assembled = rows.toarray()
         sign = 1.0 if abs(assembled[0] @ reference[0]) >= 0 else -1.0
         scale = np.abs(reference).max()
         gap = np.abs(assembled - sign * reference).max()
@@ -113,10 +116,10 @@ class TestAssembly:
                     continue
                 w = face_weights(*mesh.vertices[corners], mu.mu1[t], mu.mu2[t])
                 expected[row_of[int(corners[0])], corners] += w
-        system = assemble_beltrami(mesh, mu)
+        rows = assemble_beltrami(mesh, mu)
         # Entries shared by faces are summed in another order.
         scale = np.abs(expected).max()
-        assert np.allclose(system.interior_rows.toarray(), expected, rtol=0, atol=1e-14 * scale)
+        assert np.allclose(rows.toarray(), expected, rtol=0, atol=1e-14 * scale)
 
 
 class TestSolve:
@@ -207,6 +210,23 @@ class TestSolve:
             solve_beltrami(mesh, mu, np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
             assemble_beltrami(mesh, BeltramiCoefficient.zero(2))
+
+    def test_singular_interior_block_raises(self, monkeypatch):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(beltrami, "factorize", singular)
+        mesh = planar_disk_mesh(6, 9)
+        boundary = mesh.vertices[mesh.boundary_vertices][:, :2]
+        with pytest.raises(SingularSystem, match="interior block is singular"):
+            solve_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces), boundary)
+
+    def test_wrong_solve_fails_the_residual_check(self, monkeypatch):
+        monkeypatch.setattr(beltrami, "factorize", WrongFactor)
+        mesh = planar_disk_mesh(6, 9)
+        boundary = mesh.vertices[mesh.boundary_vertices][:, :2]
+        with pytest.raises(SolverFailure, match="relative residual .* exceeds 1e-10"):
+            solve_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces), boundary)
 
     def test_nonplanar_mesh_rejected(self):
         verts = [[0, 0, 0], [1, 0, 0.2], [0, 1, 0], [1, 1, 0.3]]

@@ -6,7 +6,7 @@ import pytest
 from diskmap import HemisphereSpec, TriMesh, gen_hemisphere, load_mesh, save_mesh
 from diskmap.cli import _write_vertex_map, main
 
-from conftest import annulus_mesh, planar_disk_mesh
+from conftest import annulus_mesh, planar_disk_mesh, thin_l_mesh
 
 
 def run(args):
@@ -183,6 +183,19 @@ class TestSolve:
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert len(trace) - 2 <= 100  # header and initial map
 
+    def test_folded_map_exit_1_with_both_counts(self, tmp_path, capsys):
+        # The thin L converges on the gradient test to a map that folds.
+        path = tmp_path / "thin_l.off"
+        save_mesh(thin_l_mesh(), path)
+        assert run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "converged=True folds=76 stop: gradient tolerance reached" in out
+        assert err == (
+            "numerical failure: the map is folded: 76 faces with negative area, "
+            "23 boundary vertices out of cyclic order\n"
+        )
+        assert (tmp_path / "map.csv").exists() and (tmp_path / "trace.csv").exists()
+
     def test_annulus_exit_1(self, tmp_path, capsys):
         path = tmp_path / "annulus.off"
         save_mesh(annulus_mesh(), path)
@@ -200,6 +213,23 @@ class TestSolve:
         path.write_text("\n".join(lines) + "\n")
         assert run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)]) == 1
         assert "vertex 2 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "solve --n 8 --r 0.9 --rho unit --quad-order 5",
+        "solve --n 8 --r 0.9 --rho analytic --quad-order 1",
+        "bounds --n 8 --r 0.9 --rho analytic --quad-order 5",
+        "converge --r 0.9 --n-list 8,12,16 --rho unit --quad-order 5",
+    ],
+)
+def test_quad_order_off_quadrature_weights_exit_2(tmp_path, capsys, command):
+    args = command.split()
+    rho = args[args.index("--rho") + 1]
+    assert run(["--out-dir", str(tmp_path), *args]) == 2
+    assert capsys.readouterr().err == f"error: --quad-order does not apply to --rho {rho}\n"
+    assert not list(tmp_path.iterdir())
 
 
 class TestQuality:
@@ -269,6 +299,11 @@ class TestConverge:
         timing = (runs[0].parent / "timing.log").read_text().splitlines()
         assert [line.split()[0] for line in timing[:2]] == ["n=4", "n=6"]
         assert re.fullmatch(r"workers=[12] total_wall_time=\d+\.\d{3}s", timing[2])
+
+    def test_fit_exponent_line(self, tmp_path, capsys):
+        code = run(["--out-dir", str(tmp_path), "converge", "--r", "0.9", "--n-list", "8,12,16"])
+        assert code == 0
+        assert "fit exponent=1.5512 over 3 rows\n" in capsys.readouterr().out
 
     def test_equal_h_writes_no_fit(self, tmp_path):
         # m = 3 for every n here, so every row has h = sqrt(3)

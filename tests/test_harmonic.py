@@ -5,6 +5,7 @@ import pytest
 
 from diskmap import (
     SingularBeyondGauge,
+    SolverFailure,
     TriMesh,
     assemble_laplacian,
     dirac_source,
@@ -16,8 +17,9 @@ from diskmap import (
     solve_weak_lb,
     source_pairs,
 )
+from diskmap import harmonic
 
-from conftest import random_triangle
+from conftest import WrongFactor, random_triangle
 
 SOUTH = np.array([0.0, 0.0, -1.0])
 
@@ -72,8 +74,8 @@ class TestDiracSource:
     def test_three_nonzero_rows(self, hemi_small):
         mesh = hemi_small.mesh
         face = face_nearest(mesh, SOUTH)
-        source = dirac_source(mesh, face)
-        dense = source.dense(mesh.num_vertices)
+        dense = dirac_source(mesh, face)
+        assert dense.shape == (mesh.num_vertices, 2)
         nonzero = np.nonzero(np.abs(dense).sum(axis=1))[0]
         assert sorted(nonzero) == sorted(mesh.faces[face])
         assert np.isfinite(dense).all()
@@ -89,20 +91,21 @@ class TestWeakSolve:
     def test_residual_small(self, hemi_small):
         mesh = hemi_small.mesh
         lap = assemble_laplacian(mesh)
-        source = dirac_source(mesh, face_nearest(mesh, SOUTH))
-        solution = solve_weak_lb(lap, source)
-        assert solution.residual <= 1e-10
+        b = dirac_source(mesh, face_nearest(mesh, SOUTH))
+        f = solve_weak_lb(lap, b)
+        assert np.array_equal(f[0], [0.0, 0.0])
+        keep = np.arange(1, mesh.num_vertices)
+        reduced = lap.matrix[keep][:, keep]
+        residual = np.linalg.norm(reduced @ f[keep] - b[keep]) / np.linalg.norm(b[keep])
+        assert residual <= 1e-10
 
     def test_linearity_in_source(self, hemi_small):
         mesh = hemi_small.mesh
         lap = assemble_laplacian(mesh)
-        source = dirac_source(mesh, face_nearest(mesh, SOUTH))
-        base = solve_weak_lb(lap, source)
-        scaled_source = type(source)(
-            face=source.face, vertex_ids=source.vertex_ids, rows=source.rows * 3.5
-        )
-        scaled = solve_weak_lb(lap, scaled_source)
-        assert np.allclose(scaled.values, 3.5 * base.values, atol=1e-9)
+        b = dirac_source(mesh, face_nearest(mesh, SOUTH))
+        base = solve_weak_lb(lap, b)
+        scaled = solve_weak_lb(lap, 3.5 * b)
+        assert np.allclose(scaled, 3.5 * base, atol=1e-9)
 
     def test_gauge_independence(self, hemi_small):
         mesh = hemi_small.mesh
@@ -110,7 +113,7 @@ class TestWeakSolve:
         source = dirac_source(mesh, face_nearest(mesh, SOUTH))
         a = solve_weak_lb(lap, source, pin_vertex=0)
         b = solve_weak_lb(lap, source, pin_vertex=7)
-        diff = a.values - b.values
+        diff = a - b
         assert np.abs(diff - diff.mean(axis=0)).max() <= 1e-9
 
     def test_disconnected_mesh_rejected(self):
@@ -120,6 +123,13 @@ class TestWeakSolve:
         lap = assemble_laplacian(mesh)
         with pytest.raises(SingularBeyondGauge):
             solve_weak_lb(lap, dirac_source(mesh, 0))
+
+    def test_wrong_solve_fails_the_residual_check(self, hemi_small, monkeypatch):
+        monkeypatch.setattr(harmonic, "factorize", WrongFactor)
+        mesh = hemi_small.mesh
+        lap = assemble_laplacian(mesh)
+        with pytest.raises(SolverFailure, match="reduced residual .* exceeds 1e-10"):
+            solve_weak_lb(lap, dirac_source(mesh, face_nearest(mesh, SOUTH)))
 
 
 class TestDiskInitialGuess:
