@@ -1,9 +1,10 @@
 """A priori error bounds for the flat-triangle discretization of a
 parameterized surface, plus triangulation quality diagnostics.
 
-All bounds are per-face and computable from four surface constants (the
-chart-gradient Lipschitz constant, two-sided singular value bounds, the
-total area) together with the face and its parameter-domain triangle:
+All bounds are per-face and computable from the surface constants of a
+:class:`BoundsConfig` (the chart-gradient Lipschitz constant, two-sided
+singular value bounds, the total area) together with the face and its
+parameter-domain triangle:
 
 * plane-distance bound: how far a surface point can sit from its face's
   plane (quadratic in the parameter diameter);
@@ -24,16 +25,18 @@ import numpy as np
 
 from .errors import DegenerateTriangle, DimensionMismatch
 from .mesh import TriMesh, dot, first_offender, triangle_metrics, write_rows
-from .surface import ParamSurface
+
 
 @dataclass(frozen=True)
 class BoundsConfig:
-    """Surface constants used by every bound.
+    """The constants every bound reads, in the one record that holds them.
 
     ``grad_lipschitz`` bounds the chart gradient's modulus of continuity,
     ``map_grad_lipschitz`` the target map's tangential-gradient Lipschitz
     constant, ``sigma_min``/``sigma_max`` the chart's singular values over
-    the certified region, and ``total_area`` the surface area.
+    the certified region, and ``total_area`` the surface area.  A
+    generated hemisphere's come from
+    :meth:`~diskmap.hemisphere.HemisphereMesh.bounds_config`.
     """
 
     grad_lipschitz: float
@@ -51,18 +54,6 @@ class BoundsConfig:
             raise ValueError("bound constants must be positive (lipschitz may be 0)")
         if self.sigma_min > self.sigma_max:
             raise ValueError("sigma_min exceeds sigma_max")
-
-    @classmethod
-    def for_surface(cls, surface: ParamSurface, map_grad_lipschitz: float):
-        if surface.total_area is None:
-            raise ValueError("surface has no known total area")
-        return cls(
-            grad_lipschitz=surface.grad_lipschitz,
-            map_grad_lipschitz=map_grad_lipschitz,
-            sigma_min=surface.sigma_min,
-            sigma_max=surface.sigma_max,
-            total_area=surface.total_area,
-        )
 
 
 def plane_distance_bound(config: BoundsConfig, diam_param: float) -> float:
@@ -197,23 +188,22 @@ class EigenScanReport:
     value_mismatch: float
 
 
-def eigen_min_scan(columns, grid_resolution: int = 101, half_width: float | None = None) -> EigenScanReport:
+def eigen_min_scan(columns, grid_resolution: int = 101) -> EigenScanReport:
     """Scan eigenvalues of (C - x 1^T)(C - x 1^T)^T over a grid of x.
 
-    `columns` is 2 x k.  The grid covers a square box of the given half
-    width (default: the diameter of the column set) around the column
-    mean.  Both eigenvalues of the 2 x 2 matrix are tracked.
+    `columns` is 2 x k.  The grid covers a square box around the column
+    mean whose half width is twice the largest distance of a column from
+    the mean (1 when all columns coincide).  Both eigenvalues of the
+    2 x 2 matrix are tracked.
     """
     c = np.asarray(columns, dtype=float)
     if c.ndim != 2 or c.shape[0] != 2:
         raise ValueError("columns must be a 2 x k array")
     k = c.shape[1]
     mean = c.mean(axis=1)
-    if half_width is None:
-        spread = c - mean[:, None]
-        half_width = 2.0 * float(np.linalg.norm(spread, axis=0).max())
-        if half_width == 0.0:
-            half_width = 1.0
+    half_width = 2.0 * float(np.linalg.norm(c - mean[:, None], axis=0).max())
+    if half_width == 0.0:
+        half_width = 1.0
     xs = np.linspace(mean[0] - half_width, mean[0] + half_width, grid_resolution)
     ys = np.linspace(mean[1] - half_width, mean[1] + half_width, grid_resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -300,19 +290,11 @@ def is_strictly_decreasing(values) -> bool:
     return bool(np.all(np.diff(values) < 0))
 
 
-@dataclass(frozen=True)
-class DegradedFace:
-    """A face matching the thin-near-isosceles degradation pattern."""
-
-    face: int
-    short_over_long: float
-    mid_over_long: float
-
-
 def scan_degraded_faces(
     mesh: TriMesh, short_ratio: float = 0.1, near_equal: float = 0.1
-) -> list[DegradedFace]:
-    """Flag faces with two nearly equal long edges and a tiny short edge.
+) -> np.ndarray:
+    """Indices, ascending, of the faces with two nearly equal long edges
+    and a tiny short edge.
 
     With sorted edge lengths a <= b <= c, a face is flagged when
     a / c <= short_ratio and |b / c - 1| <= near_equal.  This is the
@@ -326,11 +308,7 @@ def scan_degraded_faces(
     lengths = np.sort(triangle_metrics(*mesh.face_points()).edge_lengths, axis=1)
     short = lengths[:, 0] / lengths[:, 2]
     mid = lengths[:, 1] / lengths[:, 2]
-    flagged = np.nonzero((short <= short_ratio) & (np.abs(mid - 1.0) <= near_equal))[0]
-    return [
-        DegradedFace(face=int(t), short_over_long=float(short[t]), mid_over_long=float(mid[t]))
-        for t in flagged
-    ]
+    return np.flatnonzero((short <= short_ratio) & (np.abs(mid - 1.0) <= near_equal))
 
 
 @dataclass(frozen=True)
@@ -455,17 +433,17 @@ def estimate_map_grad_lipschitz(mesh: TriMesh, grad_at_vertex) -> float:
     return float(ratio.max(initial=0.0))
 
 
-def quality_csv(quality: TriangleQuality, path, flagged=None):
-    """Write per-face quality rows plus a summary row."""
-    flagged_set = {d.face for d in flagged} if flagged else set()
+def quality_csv(quality: TriangleQuality, path, flagged=()):
+    """Write per-face quality rows plus a summary row; the ``degraded``
+    column flags the face indices in `flagged`."""
     degraded = np.zeros(len(quality.diam), dtype=int)
-    degraded[list(flagged_set)] = 1
+    degraded[np.asarray(flagged, dtype=int)] = 1
     summary = [
         quality.max_diam,
         quality.min_angle.min(),
         quality.max_diam_over_sin,
         quality.max_diam_over_inradius,
-        len(flagged_set),
+        np.count_nonzero(degraded),
     ]
     _write_face_table(
         path,

@@ -3,17 +3,17 @@
 Exit codes: 0 success, 1 numerical failure (a report is still written
 when possible) or an input file that cannot be used, 2 usage or I/O
 errors, flag values outside their domain and flags the run would not
-read (``--quad-order`` off quadrature weights) included.  ``solve``
-exits 1 when its final map folds a face or puts the boundary out of
-cyclic order, even where the gradient test passed.  Any ``DiskmapError``
-raised while reading an input file (OFF mesh, ``mu.csv``,
-``boundary.csv``) prints as ``input error: ...`` and every other one as
-``numerical failure: ...``; both exit 1.  An argument ``@path`` is a
-run manifest: argparse replaces it by the file's lines, one argument
-per line (``--r=0.9166667``; the subcommand may be one of them), and
-converts and checks them like the command line's.  A later argument
-overrides an earlier one.  The ``DISKMAP_OUTDIR`` environment variable
-sets the default output root.
+read (``--quad-order`` off quadrature weights, ``--r`` with ``--m``)
+included.  ``solve`` exits 1 when its final map folds a face or puts
+the boundary out of cyclic order, even where the gradient test passed.
+Any ``DiskmapError`` raised while reading an input file (OFF mesh,
+``mu.csv``, ``boundary.csv``) prints as ``input error: ...`` and every
+other one as ``numerical failure: ...``; both exit 1.  An argument
+``@path`` is a run manifest: argparse replaces it by the file's lines,
+one argument per line (``--r=0.9166667``; the subcommand may be one of
+them), and converts and checks them like the command line's.  A later
+argument overrides an earlier one.  The ``DISKMAP_OUTDIR`` environment
+variable sets the default output root.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .beltrami import planar_vertices, read_boundary_csv, read_mu_csv, solve_beltrami
-from .bounds import BoundsConfig, build_bound_report, quality_csv, quality_report, scan_degraded_faces
+from .bounds import build_bound_report, quality_csv, quality_report, scan_degraded_faces
 from .errors import DiskmapError, ParseError
 from .experiments import DEFAULT_N_GRID, emit_report, fit_exponent, run_sweep, sweep_workers
 from .harmonic import disk_initial_guess, face_nearest
@@ -48,6 +48,8 @@ def _out_root(args):
 
 def _hemisphere_spec(args):
     if args.m is not None:
+        if args.r is not None:
+            raise argparse.ArgumentTypeError("--r does not apply with --m")
         return HemisphereSpec.from_counts(args.n, args.m)
     if args.r is not None:
         return HemisphereSpec.from_exponent(args.n, args.r)
@@ -196,11 +198,10 @@ def cmd_bounds(args):
     )
     reference = hemi.reference_map()
     energy = dirichlet_energy(laplacian, reference)
-    config = BoundsConfig.for_surface(hemi.surface, map_grad_lipschitz=args.cl)
     report = build_bound_report(
         mesh,
         hemi.param_tris,
-        config,
+        hemi.bounds_config(args.cl),
         dirichlet_value=energy,
         certified_mask=~hemi.pole_faces,
     )
@@ -266,7 +267,7 @@ def cmd_beltrami(args):
 
 def _add_hemisphere_args(p, require=False):
     p.add_argument("--n", type=int, help="latitude ring count", required=require)
-    p.add_argument("--m", type=int, help="meridian count (overrides --r)")
+    p.add_argument("--m", type=int, help="meridian count")
     p.add_argument("--r", type=float, help="meridian exponent: m = max(3, floor(n^r))")
 
 

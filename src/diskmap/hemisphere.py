@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import BoundsConfig
 from .errors import DimensionMismatch, NearPole
 from .mesh import TriMesh, dot, projection_frame
 from .surface import ParamSurface
@@ -226,6 +227,22 @@ class HemisphereMesh:
     param_cells: tuple[np.ndarray, np.ndarray]
     pole_faces: np.ndarray
 
+    def bounds_config(self, map_grad_lipschitz: float) -> BoundsConfig:
+        """The chart's bound constants, with `map_grad_lipschitz` for the
+        target map's tangential gradient.
+
+        sigma_min = sin(pi / (2n)) is certified over the meshed band up to
+        the last vertex ring; the chart is rank deficient at the pole
+        itself, so the pole cells sit outside the certified region.
+        """
+        return BoundsConfig(
+            grad_lipschitz=GRAD_LIPSCHITZ,
+            map_grad_lipschitz=map_grad_lipschitz,
+            sigma_min=math.sin(0.5 * math.pi / self.spec.n),
+            sigma_max=SIGMA_MAX,
+            total_area=HEMISPHERE_AREA,
+        )
+
     def reference_map(self) -> np.ndarray:
         """Stereographic images of all vertices (the exact flatten)."""
         return stereographic_project(self.mesh.vertices)
@@ -318,23 +335,10 @@ def gen_hemisphere(spec: HemisphereSpec) -> HemisphereMesh:
     faces = np.concatenate([band_faces, fan_faces])
     mesh = TriMesh(vertices, faces)
 
-    # sigma_min is certified over the meshed band up to the last vertex
-    # ring; the chart is rank deficient at the pole itself, so the pole
-    # cells sit outside the certified region.
-    surface = ParamSurface(
-        position=sphere_point,
-        gradient=sphere_gradient,
-        grad_lipschitz=GRAD_LIPSCHITZ,
-        sigma_min=math.sin(0.5 * math.pi / n),
-        sigma_max=SIGMA_MAX,
-        total_area=HEMISPHERE_AREA,
-        patch_area=spherical_patch_area,
-    )
-
     return HemisphereMesh(
         spec=spec,
         mesh=mesh,
-        surface=surface,
+        surface=ParamSurface(gradient=sphere_gradient, patch_area=spherical_patch_area),
         param_tris=np.concatenate([band_tris, fan_tris]),
         param_cells=(band_tris, fan_rects),
         pole_faces=np.arange(len(faces)) >= len(band_faces),

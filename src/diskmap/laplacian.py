@@ -27,13 +27,12 @@ class CotanLaplacian:
     """Sparse symmetric Laplacian and its edge weights.
 
     ``matrix`` is n x n CSR with row sums zero (off-diagonal -w, diagonal
-    the row's weight sum).  ``edges`` are the mesh's undirected edges and
-    ``weights`` their assembled weights, in the same order.
+    the row's weight sum).  ``weights`` are the assembled weights of the
+    mesh's undirected edges, in ``mesh.edges`` order.
     """
 
     size: int
     matrix: sp.csr_matrix
-    edges: np.ndarray
     weights: np.ndarray
 
 
@@ -103,7 +102,7 @@ def assemble_laplacian(
     vals = np.concatenate([-weights, -weights, weights, weights])
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    return CotanLaplacian(size=n, matrix=matrix, edges=edges, weights=weights)
+    return CotanLaplacian(size=n, matrix=matrix, weights=weights)
 
 
 # Every matrix factored in the package (L's interior block, L with one

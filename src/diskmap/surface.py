@@ -1,8 +1,9 @@
 """Analytic surface charts and quadrature of their area element.
 
-A :class:`ParamSurface` wraps a chart w in Omega ⊂ R^2 -> x(w) in R^m
-together with the constants the error bounds need: a Lipschitz constant
-of the chart gradient and two-sided singular value bounds.
+A :class:`ParamSurface` holds the gradient of a chart w in Omega ⊂ R^2
+-> x(w) in R^m, from which the area element follows, and optionally the
+closed-form area of a curved patch.  The constants the error bounds need
+are held by :class:`~diskmap.bounds.BoundsConfig`.
 """
 
 from __future__ import annotations
@@ -57,41 +58,21 @@ def triangle_rule(order: int):
 
 @dataclass(frozen=True)
 class ParamSurface:
-    """Chart of a smooth surface with certified constants.
+    """Chart of a smooth surface, as the area-ratio weights read it.
 
     Attributes
     ----------
-    position : callable
-        w (2,) -> x(w) (m,).
     gradient : callable
         w (2,) -> grad x(w) (m, 2), columns are the partials.  Also takes
         stacked points w (*S, 2) and returns (*S, m, 2).
-    grad_lipschitz : float
-        Lipschitz constant of ``gradient`` in Frobenius norm.
-    sigma_min, sigma_max : float
-        Lower bound on the smallest singular value and upper bound on the
-        Frobenius norm of ``gradient`` over the certified chart region.
-    total_area : float or None
-        Area of the surface, when known in closed form.
     patch_area : callable or None
         Optional closed-form area of the curved patch spanned by three
         surface points (used by the analytic weight mode).  Also takes
         three stacks of points (*S, m) and returns the areas (*S,).
     """
 
-    position: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
-    grad_lipschitz: float
-    sigma_min: float
-    sigma_max: float
-    total_area: float | None = None
     patch_area: Callable[[np.ndarray, np.ndarray, np.ndarray], float] | None = None
-
-    def __post_init__(self):
-        if not (self.sigma_min > 0):
-            raise ValueError("sigma_min must be positive (rank-deficient chart)")
-        if self.sigma_min > self.sigma_max:
-            raise ValueError("sigma_min exceeds sigma_max")
 
     def area_element(self, w):
         """sqrt(det(grad^T grad)) at parameter point w (2,), a float, or at

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from diskmap import (
-    BoundsConfig,
     BeltramiCoefficient,
     HemisphereSpec,
     MinimizerOptions,
@@ -189,7 +188,7 @@ def test_c05_bound_soundness():
     for n in (8, 16):
         hemi = gen_hemisphere(HemisphereSpec.from_exponent(n, 11 / 12))
         mesh = hemi.mesh
-        cfg_geom = BoundsConfig.for_surface(hemi.surface, 1.0)
+        cfg_geom = hemi.bounds_config(1.0)
         for t in range(mesh.num_faces):
             tri = np.asarray(hemi.param_tris[t])
             geom = triangle_metrics(tri[0], tri[1], tri[2])
@@ -233,9 +232,7 @@ def test_c05_bound_soundness():
             w = params[i]
             return stereographic_gradient((w[0], min(w[1], math.pi - 1e-6)))
 
-        cfg = BoundsConfig.for_surface(
-            hemi.surface, estimate_map_grad_lipschitz(mesh, grad_at)
-        )
+        cfg = hemi.bounds_config(estimate_map_grad_lipschitz(mesh, grad_at))
         report = build_bound_report(mesh, hemi.param_tris, cfg, dirichlet_value=discrete)
         gap = abs(continuous - discrete)
         if gap > report.energy_error:

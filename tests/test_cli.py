@@ -158,7 +158,9 @@ class TestSolve:
         ],
     )
     def test_value_outside_its_domain_exit_2(self, tmp_path, capsys, command, flag, value, error):
-        args = [command, "--n", "8", "--r", "0.9166667", flag, value]
+        # --m takes the place of --r, and the two together exit 2
+        shape = [] if flag == "--m" else ["--r", "0.9166667"]
+        args = [command, "--n", "8", *shape, flag, value]
         assert run(["--out-dir", str(tmp_path), *args]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not list(tmp_path.iterdir())
@@ -229,6 +231,16 @@ def test_quad_order_off_quadrature_weights_exit_2(tmp_path, capsys, command):
     rho = args[args.index("--rho") + 1]
     assert run(["--out-dir", str(tmp_path), *args]) == 2
     assert capsys.readouterr().err == f"error: --quad-order does not apply to --rho {rho}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "quality", "bounds"])
+def test_r_with_m_exit_2(tmp_path, capsys, command):
+    # --m sets the meridian count, so an --r beside it would go unread
+    out = ["--out", str(tmp_path / "hemi.off")] if command == "gen" else []
+    args = [command, "--n", "8", "--m", "9", "--r", "0.5", *out]
+    assert run(["--out-dir", str(tmp_path), *args]) == 2
+    assert capsys.readouterr().err == "error: --r does not apply with --m\n"
     assert not list(tmp_path.iterdir())
 
 

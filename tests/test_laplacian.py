@@ -10,6 +10,8 @@ from diskmap import (
     ConformalEnergy,
     DimensionMismatch,
     HemisphereSpec,
+    NonFiniteWeight,
+    ParamSurface,
     TriMesh,
     assemble_laplacian,
     conformal_energy,
@@ -29,6 +31,7 @@ from diskmap import (
     stereographic_project,
     triangle_metrics,
 )
+from diskmap.hemisphere import sphere_gradient
 from diskmap.laplacian import FACTOR_ORDERING
 from diskmap.surface import triangle_rule
 
@@ -59,7 +62,7 @@ def ragged_patch_area_quadrature(surface, cells, order=3):
 def edge_weight(mesh, lap, a, b):
     """Weight of edge {a, b} and whether the edge is on the boundary."""
     key = [min(a, b), max(a, b)]
-    return lap.weights[lap.edges.tolist().index(key)], key in mesh.boundary_edges.tolist()
+    return lap.weights[mesh.edges.tolist().index(key)], key in mesh.boundary_edges.tolist()
 
 
 class TestAssembly:
@@ -196,6 +199,21 @@ class TestAssembly:
         with pytest.raises(DegenerateTriangle):
             assemble_laplacian(mesh)
 
+    def test_non_finite_area_ratio_rejected(self, square_mesh):
+        surface = ParamSurface(
+            gradient=sphere_gradient, patch_area=lambda p0, p1, p2: np.full(len(p0), np.nan)
+        )
+        with pytest.raises(NonFiniteWeight, match="^non-finite area ratio$"):
+            assemble_laplacian(square_mesh, rho_mode="analytic", surface=surface)
+
+    def test_overflowing_cotangent_rejected(self, square_mesh):
+        # The Gram product of edges 1e150 long overflows, and its
+        # inf - inf makes the cotangents NaN.
+        huge = TriMesh(1e150 * square_mesh.vertices, square_mesh.faces)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NonFiniteWeight, match="^non-finite cotangent in face 0$"):
+                assemble_laplacian(huge)
+
     def test_rho_value_error(self, square_mesh):
         with pytest.raises(ValueError):
             face_area_ratios(square_mesh, "quadrature")
@@ -228,7 +246,7 @@ class TestDirichletEnergy:
         rng = np.random.default_rng(0)
         f = rng.normal(size=(lap.size, 2))
         # Oracle: 0.5 * sum_e w_e |f_i - f_j|^2 over the assembled edges.
-        d = f[lap.edges[:, 0]] - f[lap.edges[:, 1]]
+        d = f[hemi_small.mesh.edges[:, 0]] - f[hemi_small.mesh.edges[:, 1]]
         edge_sum = 0.5 * np.sum(lap.weights * np.sum(d * d, axis=1))
         assert dirichlet_energy(lap, f) == pytest.approx(edge_sum, rel=1e-12)
 
