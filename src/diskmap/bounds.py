@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateTriangle, DimensionMismatch
-from .mesh import TriMesh, dot, first_offender, triangle_metrics, write_rows
+from .mesh import TriMesh, dot, first_offender, signed_double_area, triangle_metrics, write_rows
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,18 @@ def centered_pinv_norm(param_tri):
     The maximum over centers is attained at the centroid and has the
     closed form |[e_jk, e_ki, e_ij]|_2 / (2 T) in terms of the edge
     vectors and the triangle area T.  A stack of triangles (*S, 3, 2)
-    gives the norms (*S,); one triangle gives a float.
+    gives the norms (*S,); one triangle gives a 0-d array.
     """
     p = np.asarray(param_tri, dtype=float)
     if p.shape[-2:] != (3, 2):
         raise DegenerateTriangle("parameter triangle must be (3, 2)")
     p0, p1, p2 = p[..., 0, :], p[..., 1, :], p[..., 2, :]
     edges = np.stack([p1 - p2, p2 - p0, p0 - p1], axis=-1)  # (*S, 2, 3)
-    area2 = (p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1]) - (
-        p1[..., 1] - p0[..., 1]
-    ) * (p2[..., 0] - p0[..., 0])
+    area2 = signed_double_area(p0, p1, p2)
     if (area2 == 0.0).any():
         where, _ = first_offender(area2 == 0.0)
         raise DegenerateTriangle(f"{where}degenerate parameter triangle")
-    norm = np.linalg.norm(edges, 2, axis=(-2, -1)) / np.abs(area2)
-    return float(norm) if norm.ndim == 0 else norm
+    return np.linalg.norm(edges, 2, axis=(-2, -1)) / np.abs(area2)
 
 
 def tangent_tilt_bound(config: BoundsConfig, diam_param: float, area_param: float) -> float:

@@ -265,6 +265,14 @@ def cmd_beltrami(args):
     return 0
 
 
+def _int_list(text):
+    """``--n-list``'s value: comma-separated integers."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_hemisphere_args(p, require=False):
     p.add_argument("--n", type=int, help="latitude ring count", required=require)
     p.add_argument("--m", type=int, help="meridian count")
@@ -329,7 +337,7 @@ def build_parser():
     p.add_argument(
         "--n-list",
         dest="n_list",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=_int_list,
         default=list(DEFAULT_N_GRID),
         help="comma-separated ring counts",
     )

@@ -207,24 +207,22 @@ def run_sweep(
 DEFAULT_N_GRID = (8, 12, 16, 24, 32, 48, 64)
 
 
-def fit_exponent(rows, h_window=None) -> FitResult:
+def fit_exponent(rows) -> FitResult:
     """Ordinary least squares on (log h, log rel_error).
 
     ``rel_error`` is the nodal error, so on the hemisphere the exponent is
     about 1.7 to 2, and that is the exponent ``diskmap converge`` writes
     to ``fit.txt``; the gradient error converges at about first order.
 
-    Rows with folds, without convergence, with zero error, or outside the
-    optional (h_min, h_max) window are dropped; at least 3 must survive,
-    with at least two distinct h, or InsufficientData is raised.
+    Rows with folds, without convergence or with zero error are dropped;
+    at least 3 must survive, with at least two distinct h, or
+    InsufficientData is raised.
     """
     pts = []
     for row in rows:
         if not row.converged or row.fold_count > 0:
             continue
         if not math.isfinite(row.rel_error) or row.rel_error <= 0:
-            continue
-        if h_window is not None and not (h_window[0] <= row.h <= h_window[1]):
             continue
         pts.append((math.log(row.h), math.log(row.rel_error)))
     if len(pts) < 3:

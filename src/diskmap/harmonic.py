@@ -100,9 +100,7 @@ def solve_weak_lb(laplacian: CotanLaplacian, b: np.ndarray, pin_vertex: int = 0)
     return values
 
 
-def disk_initial_guess(
-    mesh: TriMesh, laplacian: CotanLaplacian, source_face: int, pin_vertex: int = 0
-) -> np.ndarray:
+def disk_initial_guess(mesh: TriMesh, laplacian: CotanLaplacian, source_face: int) -> np.ndarray:
     """Feasible starting map for the disk minimizer.
 
     The weak point-source solution flattens the surface with the source
@@ -112,7 +110,7 @@ def disk_initial_guess(
     to positive orientation if needed, and its boundary snapped onto the
     unit circle.
     """
-    values = solve_weak_lb(laplacian, dirac_source(mesh, source_face), pin_vertex)
+    values = solve_weak_lb(laplacian, dirac_source(mesh, source_face))
     g = values - values[mesh.boundary_vertices].mean(axis=0)
     norms_sq = np.sum(g * g, axis=1)
     norms_sq = np.maximum(norms_sq, 1e-300)

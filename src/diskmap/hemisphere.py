@@ -76,7 +76,7 @@ def spherical_patch_area(p0, p1, p2):
 
     Uses l'Huilier's formula, which stays accurate for small triangles.
     Three stacks of points (*S, 3) give the areas (*S,); one triangle
-    gives a float.
+    gives a 0-d array.
     """
     p0, p1, p2 = (np.asarray(p, dtype=float) for p in (p0, p1, p2))
 
@@ -87,8 +87,7 @@ def spherical_patch_area(p0, p1, p2):
     a, b, c = arc(p1, p2), arc(p2, p0), arc(p0, p1)
     s = 0.5 * (a + b + c)
     t = np.tan(0.5 * s) * np.tan(0.5 * (s - a)) * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c))
-    area = 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
-    return float(area) if area.ndim == 0 else area
+    return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0)))
 
 
 def stereographic_project(v):

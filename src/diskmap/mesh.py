@@ -1,8 +1,8 @@
 """Triangle mesh container, per-triangle metric data, OFF file I/O, the
 row reader of every input table and the row writer of every report table.
 
-The mesh is an oriented manifold triangle surface with boundary, embedded
-in R^m for m >= 2.  Vertices and faces are immutable numpy arrays; all
+The mesh is an oriented manifold triangle surface with boundary, planar
+or spatial.  Vertices and faces are immutable numpy arrays; all
 derived connectivity (edges, boundary) is computed once at construction.
 """
 
@@ -19,23 +19,52 @@ from .errors import DegenerateTriangle, InvalidTopology, NonFiniteVertex, ParseE
 DEGENERACY_THRESHOLD = 1e-14
 
 
+def signed_double_area(p0, p1, p2):
+    """Twice the signed area (p1 - p0) x (p2 - p0) of the planar triangles
+    with corners `p0`, `p1`, `p2`, each one point (2,) or a stack (*S, 2)."""
+    u, w = p1 - p0, p2 - p0
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
 def check_planar_orientation(vertices, faces):
     """Raise ``InvalidTopology`` unless the `faces` (F, 3) on the planar
-    `vertices` (N, 2) all have signed areas of one strict sign."""
+    `vertices` (N, 2) all have signed areas of one strict sign.  Each face
+    is measured at unit scale, so no determinant under- or overflows."""
     p = vertices[faces]
-    u, w = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+    p = p - p[:, :1]
+    p = np.ldexp(p, -_binary_exponent(p[:, 1], p[:, 2])[:, None, None])
+    det = signed_double_area(p[:, 0], p[:, 1], p[:, 2])
     if det.size and not ((det > 0).all() or (det < 0).all()):
         raise InvalidTopology("planar faces do not share one orientation sign")
 
 
+def _binary_exponent(*vectors):
+    """The exponent e (*S,) of the largest absolute coordinate of the
+    `vectors` (*S, m), 0 where all are 0: dividing them by 2^e puts that
+    coordinate in [0.5, 1), exactly for any coordinate that stays normal."""
+    # Column by column: a reduction over the short last axis is slower.
+    largest = 0.0
+    for v in vectors:
+        for c in range(v.shape[-1]):
+            largest = np.maximum(largest, np.abs(v[..., c]))
+    return np.frexp(largest)[1]
+
+
+def _spatial(points):
+    """Float points (*S, 3); a planar point (*S, 2) is the spatial one at z = 0."""
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1] == 2:
+        points = np.concatenate([points, np.zeros_like(points[..., :1])], axis=-1)
+    return points
+
+
 class TriMesh:
-    """Oriented triangle mesh in R^m (m >= 2).
+    """Oriented triangle mesh in the plane or in space.
 
     Parameters
     ----------
-    vertices : array_like, shape (N, m)
-        Vertex coordinates, m >= 2, all finite (``NonFiniteVertex`` names
+    vertices : array_like, shape (N, 2) or (N, 3)
+        Vertex coordinates, all finite (``NonFiniteVertex`` names
         the first vertex that is not).
     faces : array_like, shape (F, 3)
         Ordered vertex index triples.  All faces must share a consistent
@@ -44,7 +73,7 @@ class TriMesh:
 
     Attributes
     ----------
-    vertices : ndarray, shape (N, m)
+    vertices : ndarray, shape (N, 2) or (N, 3)
     faces : ndarray, shape (F, 3)
     edges : ndarray, shape (E, 2)
         Undirected edges as sorted index pairs, in order of first
@@ -66,8 +95,8 @@ class TriMesh:
     def __init__(self, vertices, faces):
         v = np.asarray(vertices, dtype=float)
         f = np.asarray(faces, dtype=int)
-        if v.ndim != 2 or v.shape[1] < 2:
-            raise InvalidTopology("vertices must have shape (N, m) with m >= 2")
+        if v.ndim != 2 or v.shape[1] not in (2, 3):
+            raise InvalidTopology(f"vertices must have shape (N, 2) or (N, 3), got {v.shape}")
         finite = np.isfinite(v).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -88,7 +117,7 @@ class TriMesh:
         self.vertices = v
         self.faces = f
         self._build_edges()
-        if self.ambient_dim == 2:
+        if v.shape[1] == 2:
             check_planar_orientation(v, f)
 
     def _build_edges(self):
@@ -137,10 +166,6 @@ class TriMesh:
     @property
     def num_faces(self):
         return len(self.faces)
-
-    @property
-    def ambient_dim(self):
-        return self.vertices.shape[1]
 
     def interior_vertices(self):
         """Indices of vertices not on the boundary."""
@@ -205,24 +230,21 @@ class TriangleGeom:
     ``edge_lengths`` holds (|vi-vj|, |vj-vk|, |vk-vi|); ``angles`` and
     ``cotangents`` are ordered by the corner they live at, (at_i, at_j,
     at_k), so ``angles[..., 0]`` is the angle opposite the jk edge and so
-    on.  ``normal`` is the right-handed unit normal of the vertex order
-    for 3-d triangles and None in 2-d; ``orientation`` is the signed-area
-    sign for 2-d triangles and +1 in 3-d.
+    on.  ``normal`` is the right-handed unit normal of the vertex order,
+    (0, 0, ±1) for a planar triangle.
 
-    For one triangle the scalar fields are floats and ``orientation`` an
-    int.  For a stack of shape S every field gains the leading shape S:
-    ``edge_lengths``, ``angles`` and ``cotangents`` are (*S, 3), ``normal``
-    is (*S, 3), and the scalar fields are arrays of shape S.
+    For a stack of shape S, empty for one triangle, ``edge_lengths``,
+    ``angles``, ``cotangents`` and ``normal`` are (*S, 3) arrays and the
+    scalar fields are arrays of shape S.
     """
 
     edge_lengths: np.ndarray
     angles: np.ndarray
     cotangents: np.ndarray
-    area: float | np.ndarray
-    diameter: float | np.ndarray
-    inradius: float | np.ndarray
-    normal: np.ndarray | None
-    orientation: int | np.ndarray
+    area: np.ndarray
+    diameter: np.ndarray
+    inradius: np.ndarray
+    normal: np.ndarray
 
 
 def dot(a, b):
@@ -238,10 +260,14 @@ def dot(a, b):
 def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
     """Compute :class:`TriangleGeom` for the triangle (v_i, v_j, v_k).
 
-    Each corner is one point (m,) or a stack (*S, m) of points, which
-    gives the metrics of every triangle in the stack at once.
-    Cotangents come from dot and cross products directly, never by
-    taking an angle and re-evaluating trig functions.
+    Each corner is one point (2,) or (3,), or a stack (*S, 2) or (*S, 3)
+    of points, which gives the metrics of every triangle in the stack at
+    once.  A planar triangle is measured as the spatial one at z = 0.
+    Each triangle is measured at unit scale, so its cotangents, angles
+    and normal do not depend on its size; only a length or area outside
+    double range rounds to inf or 0.  Cotangents come from dot and cross
+    products directly, never by taking an angle and re-evaluating trig
+    functions.
 
     Raises
     ------
@@ -249,13 +275,13 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
         If area < 1e-14 * diameter^2; for a stack the message names the
         first offending face index.
     """
-    v_i = np.asarray(v_i, dtype=float)
-    v_j = np.asarray(v_j, dtype=float)
-    v_k = np.asarray(v_k, dtype=float)
+    v_i, v_j, v_k = _spatial(v_i), _spatial(v_j), _spatial(v_k)
 
     # Edges along the vertex order; the angle at each corner is between
     # its outgoing edge and the reversed incoming one.
     d_ij, d_jk, d_ki = v_j - v_i, v_k - v_j, v_i - v_k
+    e = _binary_exponent(d_ij, d_jk, d_ki)
+    d_ij, d_jk, d_ki = (np.ldexp(d, -e[..., None]) for d in (d_ij, d_jk, d_ki))
     sq = np.stack([dot(d_ij, d_ij), dot(d_jk, d_jk), dot(d_ki, d_ki)], -1)
     dots = -np.stack([dot(d_ij, d_ki), dot(d_jk, d_ij), dot(d_ki, d_jk)], -1)
     lengths = np.sqrt(sq)
@@ -264,31 +290,22 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
     # One corner suffices for the area; the cross norm is shared.
     gram = sq[..., 0] * sq[..., 2] - dots[..., 0] ** 2
     double_area = np.sqrt(np.maximum(gram, 0.0))
-    area = 0.5 * double_area
-    bad = (area < DEGENERACY_THRESHOLD * diameter**2) | (diameter == 0.0)
-    if bad.any():
-        where, t = first_offender(bad)
-        raise DegenerateTriangle(
-            f"{where}area {area.flat[t]:.3e} below threshold for d={diameter.flat[t]:.3e}"
-        )
+    bad = (0.5 * double_area < DEGENERACY_THRESHOLD * diameter**2) | (diameter == 0.0)
+    with np.errstate(over="ignore"):
+        # Back to the triangle's own scale, exactly inside double range.
+        area, diameter = np.ldexp(0.5 * double_area, 2 * e), np.ldexp(diameter, e)
+        if bad.any():
+            where, t = first_offender(bad)
+            raise DegenerateTriangle(
+                f"{where}area {area.flat[t]:.3e} below threshold for d={diameter.flat[t]:.3e}"
+            )
+        inradius = np.ldexp(double_area / lengths.sum(axis=-1), e)
+        lengths = np.ldexp(lengths, e[..., None])
 
     cots = dots / double_area[..., None]
     angles = np.arctan2(double_area[..., None], dots)
-
-    inradius = 2.0 * area / lengths.sum(axis=-1)
-
-    if v_i.shape[-1] == 3:
-        n = np.cross(d_ij, -d_ki)
-        normal = n / np.sqrt(dot(n, n))[..., None]
-        orientation = np.ones(area.shape, dtype=int)
-    else:
-        normal = None
-        det = d_ki[..., 0] * d_ij[..., 1] - d_ki[..., 1] * d_ij[..., 0]
-        orientation = np.where(det > 0, 1, -1)
-
-    if area.ndim == 0:
-        area, diameter, inradius = float(area), float(diameter), float(inradius)
-        orientation = int(orientation)
+    n = np.cross(d_ij, -d_ki)
+    normal = n / np.sqrt(dot(n, n))[..., None]
     return TriangleGeom(
         edge_lengths=lengths,
         angles=angles,
@@ -297,7 +314,6 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
         diameter=diameter,
         inradius=inradius,
         normal=normal,
-        orientation=orientation,
     )
 
 
@@ -305,41 +321,35 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
 class ProjectionFrame:
     """Hat-function frame of one triangle, or of a stack of triangles.
 
-    ``rotated_edges`` (3, m) holds s_i, s_j, s_k, the edge opposite each
-    corner crossed with the normal; ``hat_gradients`` (3, m) divides them
+    ``rotated_edges`` (3, 3) holds s_i, s_j, s_k, the edge opposite each
+    corner crossed with the normal; ``hat_gradients`` (3, 3) divides them
     by twice the area, which gives the in-plane gradients of the
-    barycentric coordinates, a dual basis to the edges.  ``normal`` is a
-    3-vector: the triangle's unit normal, or (0, 0, orientation) for a
-    2-d triangle.  For a stack of shape S every field gains the leading
-    shape S, and ``area`` is an array of shape S.
+    barycentric coordinates, a dual basis to the edges.  ``normal`` is
+    the triangle's unit normal.  A planar triangle is the spatial one at
+    z = 0, so its normal is (0, 0, ±1) and its frame vectors have z = 0.
+    For a stack of shape S every field gains the leading shape S, and
+    ``area`` is an array of shape S.
     """
 
     rotated_edges: np.ndarray
     hat_gradients: np.ndarray
     normal: np.ndarray
-    area: float | np.ndarray
+    area: np.ndarray
 
 
 def projection_frame(v_i, v_j, v_k) -> ProjectionFrame:
     """Build the :class:`ProjectionFrame` of the triangle (v_i, v_j, v_k).
 
-    Takes points (m,) or stacks (*S, m) like :func:`triangle_metrics`,
-    whose normal and area it uses, and raises its ``DegenerateTriangle``.
+    Takes points like :func:`triangle_metrics`, whose normal and area it
+    uses, and raises its ``DegenerateTriangle``.
     """
+    v_i, v_j, v_k = _spatial(v_i), _spatial(v_j), _spatial(v_k)
     geom = triangle_metrics(v_i, v_j, v_k)
-    v_i, v_j, v_k = (np.asarray(v, dtype=float) for v in (v_i, v_j, v_k))
     opposite = np.stack([v_j - v_k, v_k - v_i, v_i - v_j], axis=-2)
-    if geom.normal is None:
-        # e x (0, 0, o) is the quarter turn o (e_y, -e_x).
-        o = np.asarray(geom.orientation, dtype=float)
-        normal = np.stack([np.zeros_like(o), np.zeros_like(o), o], axis=-1)
-        rotated = np.stack([opposite[..., 1], -opposite[..., 0]], axis=-1) * o[..., None, None]
-    else:
-        normal = geom.normal
-        rotated = np.cross(opposite, normal[..., None, :])
-    hats = rotated / (2.0 * np.asarray(geom.area))[..., None, None]
+    rotated = np.cross(opposite, geom.normal[..., None, :])
+    hats = rotated / (2.0 * geom.area)[..., None, None]
     return ProjectionFrame(
-        rotated_edges=rotated, hat_gradients=hats, normal=normal, area=geom.area
+        rotated_edges=rotated, hat_gradients=hats, normal=geom.normal, area=geom.area
     )
 
 
@@ -433,9 +443,7 @@ def save_mesh(mesh: TriMesh, path):
 
     2-d meshes are written with a zero third coordinate.
     """
-    v = mesh.vertices
-    if v.shape[1] == 2:
-        v = np.column_stack([v, np.zeros(len(v))])
+    v = _spatial(mesh.vertices)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"OFF\n{mesh.num_vertices} {mesh.num_faces} 0\n")
         write_rows(fh, v.T, sep=" ", end="\n")

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateTriangle
+from .mesh import signed_double_area
 
 # Symmetric triangle rules in barycentric coordinates, exact to the given
 # polynomial degree.  Weights sum to 1 (reference-area normalized).
@@ -72,14 +73,13 @@ class ParamSurface:
     """
 
     gradient: Callable[[np.ndarray], np.ndarray]
-    patch_area: Callable[[np.ndarray, np.ndarray, np.ndarray], float] | None = None
+    patch_area: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def area_element(self, w):
-        """sqrt(det(grad^T grad)) at parameter point w (2,), a float, or at
-        stacked points (*S, 2), an array (*S,)."""
+        """sqrt(det(grad^T grad)) at parameter points w (*S, 2), an array
+        (*S,); 0-d for one point (2,)."""
         g = self.gradient(np.asarray(w, dtype=float))
-        element = np.sqrt(np.maximum(np.linalg.det(np.swapaxes(g, -1, -2) @ g), 0.0))
-        return float(element) if element.ndim == 0 else element
+        return np.sqrt(np.maximum(np.linalg.det(np.swapaxes(g, -1, -2) @ g), 0.0))
 
 
 def patch_area_quadrature(surface: ParamSurface, cells, order: int = 3) -> np.ndarray:
@@ -98,8 +98,7 @@ def patch_area_quadrature(surface: ParamSurface, cells, order: int = 3) -> np.nd
     s = np.arange(1, k - 1)
     fan = np.stack([np.zeros_like(s), s, s + 1], axis=1)  # (k - 2, 3)
     tris = cells[:, fan].reshape(-1, 3, 2)  # (C (k - 2), 3, 2)
-    u, w = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
-    area = 0.5 * np.abs(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0])
+    area = 0.5 * np.abs(signed_double_area(tris[:, 0], tris[:, 1], tris[:, 2]))
     bary, weights = triangle_rule(order)
     element = surface.area_element(bary @ tris)  # (T, Q)
     # bincount adds each cell's terms in triangle then point order.

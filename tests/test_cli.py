@@ -234,6 +234,16 @@ def test_quad_order_off_quadrature_weights_exit_2(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+def test_unreadable_n_list_exit_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(["converge", "--r", "0.9", "--n-list", "8,,16"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "error: argument --n-list: expected comma-separated integers, got '8,,16'\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["gen", "solve", "quality", "bounds"])
 def test_r_with_m_exit_2(tmp_path, capsys, command):
     # --m sets the meridian count, so an --r beside it would go unread

@@ -89,8 +89,6 @@ class TestFitExponent:
         fit = fit_exponent(rows)
         assert fit.rows_used == 4
         assert fit.exponent == pytest.approx(1.0, abs=1e-10)
-        windowed = fit_exponent(rows, h_window=(0.15, 0.9))
-        assert windowed.rows_used == 3
 
     def test_insufficient_rows(self):
         rows = [synthetic_row(0.5, 0.1), synthetic_row(0.25, 0.05)]

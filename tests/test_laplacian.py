@@ -206,10 +206,21 @@ class TestAssembly:
         with pytest.raises(NonFiniteWeight, match="^non-finite area ratio$"):
             assemble_laplacian(square_mesh, rho_mode="analytic", surface=surface)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e-80, 1e78, 1e150, 1e300])
+    def test_weights_do_not_depend_on_scale(self, square_mesh, scale, dim):
+        # Each face is measured at unit scale, so no product of its edge
+        # lengths leaves double range.
+        corners = np.pad(square_mesh.vertices, ((0, 0), (0, dim - 2)))
+        lap = assemble_laplacian(TriMesh(scale * corners, square_mesh.faces))
+        assert set(lap.weights.tolist()) == {0.0, 0.5}
+        assert np.array_equal(lap.weights, assemble_laplacian(square_mesh).weights)
+
     def test_overflowing_cotangent_rejected(self, square_mesh):
-        # The Gram product of edges 1e150 long overflows, and its
-        # inf - inf makes the cotangents NaN.
-        huge = TriMesh(1e150 * square_mesh.vertices, square_mesh.faces)
+        # The edges of a square with corners at +-1e308 overflow, which
+        # makes the cotangents NaN.
+        corners = np.pad(2.0 * square_mesh.vertices - 1.0, ((0, 0), (0, 1)))
+        huge = TriMesh(1e308 * corners, square_mesh.faces)
         with pytest.warns(RuntimeWarning):
             with pytest.raises(NonFiniteWeight, match="^non-finite cotangent in face 0$"):
                 assemble_laplacian(huge)

@@ -113,23 +113,24 @@ class TestTriangleMetrics:
         stacked = triangle_metrics(pts[:, 0], pts[:, 1], pts[:, 2])
         for t, tri in enumerate(pts):
             one = triangle_metrics(*tri)
-            for field in ("edge_lengths", "angles", "cotangents"):
+            for field in ("edge_lengths", "angles", "cotangents", "normal"):
                 assert np.array_equal(getattr(stacked, field)[t], getattr(one, field))
-            for field in ("area", "diameter", "inradius", "orientation"):
+            for field in ("area", "diameter", "inradius"):
                 assert getattr(stacked, field)[t] == getattr(one, field)
-            assert isinstance(one.area, float) and isinstance(one.orientation, int)
-            if dim == 3:
-                assert np.array_equal(stacked.normal[t], one.normal)
-            else:
-                assert stacked.normal is None and one.normal is None
+            assert one.area.shape == () and one.normal.shape == (3,)
+            if dim == 2:
+                # a planar triangle is the spatial one at z = 0
                 u, w = tri[1] - tri[0], tri[2] - tri[0]
-                assert one.orientation == np.sign(u[0] * w[1] - u[1] * w[0])
+                assert np.array_equal(one.normal, [0, 0, np.sign(u[0] * w[1] - u[1] * w[0])])
         frames = projection_frame(pts[:, 0], pts[:, 1], pts[:, 2])
         for t, tri in enumerate(pts):
             one = projection_frame(*tri)
             for field in ("rotated_edges", "hat_gradients", "normal"):
                 assert np.array_equal(getattr(frames, field)[t], getattr(one, field))
-            assert frames.area[t] == one.area and isinstance(one.area, float)
+            assert frames.area[t] == one.area and one.area.shape == ()
+            assert one.hat_gradients.shape == (3, 3)
+            if dim == 2:
+                assert not one.rotated_edges[:, 2].any()
 
     def test_stack_names_first_degenerate_face(self):
         rng = np.random.default_rng(12)
@@ -143,7 +144,7 @@ class TestTriangleMetrics:
 class TestProjectionFrame:
     def test_unit_right_triangle_first_gradient(self):
         frame = projection_frame(*RIGHT)
-        assert np.allclose(frame.hat_gradients[0], [-1.0, -1.0], atol=1e-14)
+        assert np.allclose(frame.hat_gradients[0], [-1.0, -1.0, 0.0], atol=1e-14)
 
     def test_gradients_sum_to_zero(self):
         rng = np.random.default_rng(1)
@@ -164,8 +165,9 @@ class TestProjectionFrame:
         # <b_ell, v_a - v_base(ell)> is 1 at a = ell, 0 at the other corner
         rng = np.random.default_rng(3)
         for dim in (2, 3):
-            pts = random_triangle(rng, dim)
-            frame = projection_frame(*pts)
+            tri = random_triangle(rng, dim)
+            frame = projection_frame(*tri)
+            pts = np.pad(tri, ((0, 0), (0, 3 - dim)))  # planar corners at z = 0
             bases = (pts[1], pts[2], pts[0])  # v_j, v_k, v_i respectively
             for ell in range(3):
                 for a in range(3):
@@ -271,6 +273,23 @@ class TestTriMesh:
         verts[2, 1] = verts[3, 0] = bad
         with pytest.raises(NonFiniteVertex, match="vertex 2 "):
             TriMesh(verts, [[0, 1, 2], [0, 2, 3]])
+
+    @pytest.mark.parametrize(
+        "verts",
+        [[[0.0], [1.0], [2.0]], [[0.0, 0, 0, 0], [1.0, 0, 0, 0], [0.0, 0, 1, 0]]],
+        ids=["1d", "4d"],
+    )
+    def test_vertices_planar_or_spatial_only(self, verts):
+        with pytest.raises(InvalidTopology, match=r"\(N, 2\) or \(N, 3\)"):
+            TriMesh(verts, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_orientation_checked_at_unit_scale(self, scale):
+        # the determinants of these faces leave double range
+        verts = scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.2, 0.2]])
+        TriMesh(verts, [[0, 1, 2], [2, 1, 3]])
+        with pytest.raises(InvalidTopology, match="orientation sign"):
+            TriMesh(verts, [[0, 1, 2], [2, 1, 4]])  # the second face folds back
 
     def test_inconsistent_orientation_rejected(self):
         verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
