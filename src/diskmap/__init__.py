@@ -38,7 +38,6 @@ from .errors import (
     NonFiniteVertex,
     NonFiniteWeight,
     ParseError,
-    SingularBeyondGauge,
     SingularSystem,
     SolverFailure,
     ZeroReference,

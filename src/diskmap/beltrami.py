@@ -21,20 +21,40 @@ from .errors import (
     DegenerateTriangle,
     DimensionMismatch,
     NonFiniteVertex,
-    SingularSystem,
-    SolverFailure,
 )
-from .laplacian import factorize
-from .mesh import TriMesh, check_planar_orientation, data_lines, dot, first_offender, read_rows
+from .laplacian import solve_checked
+from .mesh import (
+    TriMesh,
+    _binary_exponent,
+    check_planar_orientation,
+    data_lines,
+    dot,
+    first_offender,
+    read_rows,
+)
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _ADMISSIBLE_FLOOR = 1e-12
-_RESIDUAL_TOL = 1e-10
+
+
+def admissible_denominator(mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
+    """1 - mu1^2 - mu2^2 of stacked coefficients (*S,), which must be at
+    least 1e-12; else ``DegenerateCoefficient`` names the first face
+    that is not (NaN and infinity included)."""
+    denom = 1.0 - mu1**2 - mu2**2
+    bad = ~(denom >= _ADMISSIBLE_FLOOR)  # NaN fails it too
+    if bad.any():
+        where, t = first_offender(bad)
+        raise DegenerateCoefficient(
+            f"{where}need 1 - mu1^2 - mu2^2 >= {_ADMISSIBLE_FLOOR:g}, got {denom.flat[t]:.3g}"
+        )
+    return denom
 
 
 @dataclass(frozen=True)
 class BeltramiCoefficient:
-    """Per-face coefficient pair, finite and strictly inside the unit disk."""
+    """Per-face coefficient pair, finite and with 1 - mu1^2 - mu2^2 >=
+    1e-12 (:func:`admissible_denominator`)."""
 
     mu1: np.ndarray
     mu2: np.ndarray
@@ -44,13 +64,7 @@ class BeltramiCoefficient:
         m2 = np.asarray(self.mu2, dtype=float)
         if m1.shape != m2.shape:
             raise DimensionMismatch("mu1 and mu2 must have matching shapes")
-        # Written so that NaN and infinity fail it too.
-        bad = ~(m1**2 + m2**2 < 1.0)
-        if bad.any():
-            where, t = first_offender(bad)
-            raise DegenerateCoefficient(
-                f"{where}need mu1^2 + mu2^2 < 1, got ({m1.flat[t]}, {m2.flat[t]})"
-            )
+        admissible_denominator(m1, m2)
         object.__setattr__(self, "mu1", m1)
         object.__setattr__(self, "mu2", m2)
 
@@ -66,16 +80,12 @@ def beltrami_matrix(mu1, mu2) -> np.ndarray:
     """The 2 x 2 derivative-coupling matrix of the coefficient (mu1, mu2).
 
     B = [[2 mu2, (1 - mu1)^2 + mu2^2], [-(1 + mu1)^2 - mu2^2, -2 mu2]]
-    divided by 1 - mu1^2 - mu2^2.  Trace-free with B^2 = -I; at mu = 0 it
-    is the quarter-turn rotation.  Stacked coefficients (*S,) give
-    stacked matrices (*S, 2, 2).
+    divided by 1 - mu1^2 - mu2^2 (:func:`admissible_denominator`).
+    Trace-free with B^2 = -I; at mu = 0 it is the quarter-turn rotation.
+    Stacked coefficients (*S,) give stacked matrices (*S, 2, 2).
     """
     mu1, mu2 = np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float)
-    denom = 1.0 - mu1**2 - mu2**2
-    bad = ~(denom >= _ADMISSIBLE_FLOOR)  # NaN fails it too
-    if bad.any():
-        where, _ = first_offender(bad)
-        raise DegenerateCoefficient(f"{where}coefficient too close to the unit circle")
+    denom = admissible_denominator(mu1, mu2)
     rows = [
         [2.0 * mu2, (1.0 - mu1) ** 2 + mu2**2],
         [-((1.0 + mu1) ** 2) - mu2**2, -2.0 * mu2],
@@ -92,14 +102,17 @@ def face_weights(v_i, v_j, v_k, mu1, mu2) -> np.ndarray:
     e_opp^T ehat / (4 A) with e_opp the edge opposite each corner and
     ehat the transformed opposite edge of the row corner.  They sum to
     zero by construction.  Stacked corners (*S, 2) and coefficients
-    (*S,) give the contributions of every face, (*S, 3).
+    (*S,) give the contributions of every face, (*S, 3).  The weights do
+    not depend on the face's scale, and each face is measured at unit
+    scale: its edges are divided by the power of two of their largest
+    coordinate, exactly, so no product leaves double range.
     """
     v_i = np.asarray(v_i, dtype=float)[..., :2]
     v_j = np.asarray(v_j, dtype=float)[..., :2]
     v_k = np.asarray(v_k, dtype=float)[..., :2]
-    vjk = v_j - v_k
-    vki = v_k - v_i
-    vij = v_i - v_j
+    edges = (v_j - v_k, v_k - v_i, v_i - v_j)
+    exponent = _binary_exponent(*edges)[..., None]
+    vjk, vki, vij = (np.ldexp(d, -exponent) for d in edges)
     area2 = vij[..., 0] * vjk[..., 1] - vij[..., 1] * vjk[..., 0]  # 2 * signed area
     if (area2 == 0.0).any():
         where, _ = first_offender(area2 == 0.0)
@@ -156,32 +169,18 @@ def solve_beltrami(mesh: TriMesh, mu: BeltramiCoefficient, boundary_values) -> n
     ``mesh.boundary_vertices``.  Returns the full (n, 2) map with the
     boundary rows passed through unchanged.
 
-    Raises
-    ------
-    SingularSystem
-        If the interior block cannot be factorized.
-    SolverFailure
-        If the relative residual exceeds 1e-10.
+    The interior block is solved by
+    :func:`~diskmap.laplacian.solve_checked`, which raises SingularSystem
+    if it is singular and SolverFailure if the relative residual exceeds
+    1e-10.
     """
     rows = assemble_beltrami(mesh, mu)
     interior, boundary = mesh.interior_vertices(), mesh.boundary_vertices
     g_b = np.asarray(boundary_values, dtype=float)
     if g_b.shape != (len(boundary), 2):
         raise DimensionMismatch(f"expected boundary values of shape ({len(boundary)}, 2)")
-    block_ii = rows[:, interior].tocsc()
-    block_ib = rows[:, boundary]
-    rhs = -block_ib @ g_b
-    try:
-        lu = factorize(block_ii)
-        g_i = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystem(f"interior block is singular: {exc}") from exc
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    residual = float(np.linalg.norm(block_ii @ g_i - rhs)) / scale
-    if not np.isfinite(g_i).all() or residual > _RESIDUAL_TOL:
-        raise SolverFailure(f"relative residual {residual:.3e} exceeds 1e-10")
     g = np.empty((mesh.num_vertices, 2))
-    g[interior] = g_i
+    g[interior] = solve_checked(rows[:, interior], -rows[:, boundary] @ g_b)
     g[boundary] = g_b
     return g
 

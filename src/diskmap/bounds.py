@@ -205,14 +205,18 @@ def eigen_min_scan(columns, grid_resolution: int = 101) -> EigenScanReport:
     ys = np.linspace(mean[1] - half_width, mean[1] + half_width, grid_resolution)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
 
-    # B(x) entries, vectorized over the grid.
     s = c.sum(axis=1)
-    b11 = float(c[0] @ c[0]) - 2 * gx * s[0] + k * gx**2
-    b22 = float(c[1] @ c[1]) - 2 * gy * s[1] + k * gy**2
-    b12 = float(c[0] @ c[1]) - gx * s[1] - gy * s[0] + k * gx * gy
-    half_tr = 0.5 * (b11 + b22)
-    disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + b12**2, 0.0))
-    lams = [half_tr - disc, half_tr + disc]
+
+    def eigenvalues(x, y):
+        """Both eigenvalues of B at the point or points (x, y), smaller first."""
+        b11 = float(c[0] @ c[0]) - 2 * x * s[0] + k * x**2
+        b22 = float(c[1] @ c[1]) - 2 * y * s[1] + k * y**2
+        b12 = float(c[0] @ c[1]) - x * s[1] - y * s[0] + k * x * y
+        half_tr = 0.5 * (b11 + b22)
+        disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + b12**2, 0.0))
+        return [half_tr - disc, half_tr + disc]
+
+    lams = eigenvalues(gx, gy)
 
     step = xs[1] - xs[0]
     cells = np.empty(2)
@@ -225,12 +229,7 @@ def eigen_min_scan(columns, grid_resolution: int = 101) -> EigenScanReport:
 
     ref = c @ c.T - k * np.outer(mean, mean)
     ref_vals = np.sort(np.linalg.eigvalsh(ref))
-    b11v = float(c[0] @ c[0]) - 2 * mean[0] * s[0] + k * mean[0] ** 2
-    b22v = float(c[1] @ c[1]) - 2 * mean[1] * s[1] + k * mean[1] ** 2
-    b12v = float(c[0] @ c[1]) - mean[0] * s[1] - mean[1] * s[0] + k * mean[0] * mean[1]
-    half = 0.5 * (b11v + b22v)
-    d = math.sqrt(max(0.25 * (b11v - b22v) ** 2 + b12v**2, 0.0))
-    at_mean = np.array([half - d, half + d])
+    at_mean = np.array(eigenvalues(*mean))
     mismatch = float(np.max(np.abs(at_mean - ref_vals)))
 
     return EigenScanReport(

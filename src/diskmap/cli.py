@@ -47,6 +47,8 @@ def _out_root(args):
 
 
 def _hemisphere_spec(args):
+    if args.n is None:
+        raise argparse.ArgumentTypeError("need either --mesh or --n")
     if args.m is not None:
         if args.r is not None:
             raise argparse.ArgumentTypeError("--r does not apply with --m")

@@ -51,12 +51,8 @@ class ParseError(DiskmapError):
         super().__init__(message)
 
 
-class SingularBeyondGauge(DiskmapError):
-    """Pinned linear system is still rank deficient (disconnected mesh)."""
-
-
 class SingularSystem(DiskmapError):
-    """Sparse factorization failed."""
+    """A sparse matrix could not be factored (``laplacian.factorize``)."""
 
 
 class SolverFailure(DiskmapError):

@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularBeyondGauge, SolverFailure
-from .laplacian import CotanLaplacian, factorize, mapped_area
+from .laplacian import CotanLaplacian, mapped_area, solve_checked
 from .mesh import TriMesh, triangle_metrics
-
-_RESIDUAL_TOL = 1e-10
 
 
 def source_pairs(v_i, v_j, v_k) -> np.ndarray:
@@ -70,33 +67,16 @@ def solve_weak_lb(laplacian: CotanLaplacian, b: np.ndarray, pin_vertex: int = 0)
     """Solve L f = b with one vertex pinned to the origin.
 
     `b` is the dense (V, 2) right-hand side of ``dirac_source``.  The
-    pinned row and column are removed, the reduced symmetric system is
-    factorized directly, and the reduced relative residual
-    ||L_kk f_k - b_k|| / ||b_k|| must come out below 1e-10.  Returns the
+    pinned row and column are removed and the reduced symmetric system is
+    solved by :func:`~diskmap.laplacian.solve_checked`, which raises
+    SingularSystem if it is singular (a disconnected mesh) and
+    SolverFailure if its relative residual exceeds 1e-10.  Returns the
     full (V, 2) map with the pinned vertex at the origin.
-
-    Raises
-    ------
-    SingularBeyondGauge
-        If the reduced factorization fails (disconnected mesh).
-    SolverFailure
-        If the solve succeeds but the residual check fails.
     """
     n = laplacian.size
     keep = np.concatenate([np.arange(pin_vertex), np.arange(pin_vertex + 1, n)])
-    reduced = laplacian.matrix[keep][:, keep].tocsc()
-    rhs = b[keep]
-    try:
-        lu = factorize(reduced)
-        x = lu.solve(rhs)
-    except RuntimeError as exc:
-        raise SingularBeyondGauge(f"pinned system is singular: {exc}") from exc
-    scale = max(np.linalg.norm(rhs), 1e-300)
-    residual = float(np.linalg.norm(reduced @ x - rhs) / scale)
-    if not np.isfinite(x).all() or residual > _RESIDUAL_TOL:
-        raise SolverFailure(f"reduced residual {residual:.3e} exceeds 1e-10")
     values = np.zeros((n, 2))
-    values[keep] = x
+    values[keep] = solve_checked(laplacian.matrix[keep][:, keep], b[keep])
     return values
 
 

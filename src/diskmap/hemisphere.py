@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import BoundsConfig
 from .errors import DimensionMismatch, NearPole
 from .mesh import TriMesh, dot, projection_frame
-from .surface import ParamSurface
+from .surface import ParamSurface, triangle_rule
 
 # Lipschitz constant of the chart gradient: the second-derivative tensor
 # has spectral norm sqrt(1 + cos^2 psi) <= sqrt(2) everywhere.
@@ -37,10 +37,6 @@ MAX_VERTICES = 10**7
 
 _NEAR_POLE_TOL = 1e-12
 _SPHERE_TOL = 1e-9
-
-# Symmetric three-point rule, exact for quadratics on a triangle:
-# barycentric points (2/3, 1/6, 1/6) and permutations, weights area / 3.
-_FACE_RULE = np.full((3, 3), 1.0 / 6.0) + 0.5 * np.eye(3)
 
 
 def sphere_point(w):
@@ -276,9 +272,10 @@ class HemisphereMesh:
         frame = projection_frame(*self.mesh.face_points())
         discrete = np.einsum("fic,fid->fcd", values, frame.hat_gradients)  # (F, 2, 3)
         tangent = np.eye(3) - frame.normal[:, :, None] * frame.normal[:, None, :]
-        points = np.einsum("qi,fid->fqd", _FACE_RULE, corners)  # (F, 3, 3)
+        bary, weights = triangle_rule(2)
+        points = np.einsum("qi,fid->fqd", bary, corners)  # (F, 3, 3)
         exact = _radial_stereographic_jacobian(points) @ tangent[:, None]
-        weight = (frame.area / 3.0)[:, None]
+        weight = frame.area[:, None] * weights
         err = np.sum(weight * np.sum((exact - discrete[:, None]) ** 2, axis=(2, 3)))
         norm = np.sum(weight * np.sum(exact**2, axis=(2, 3)))
         return float(np.sqrt(err / norm))

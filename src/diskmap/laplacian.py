@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DimensionMismatch, NonFiniteWeight
+from .errors import DimensionMismatch, NonFiniteWeight, SingularSystem, SolverFailure
 from .mesh import TriangleGeom, TriMesh, projection_frame, triangle_metrics
 from .surface import ParamSurface, patch_area_quadrature
 
@@ -117,10 +117,28 @@ def factorize(matrix: sp.spmatrix) -> spla.SuperLU:
     """Sparse LU of a square matrix with the mesh's adjacency pattern.
 
     Columns are ordered by :data:`FACTOR_ORDERING`, and SuperLU keeps its
-    default partial pivoting.  Raises RuntimeError, as ``splu`` does, if
-    the matrix is singular; callers turn that into their own error.
+    default partial pivoting.  Raises SingularSystem if the matrix is
+    singular.
     """
-    return spla.splu(matrix.tocsc(), permc_spec=FACTOR_ORDERING)
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec=FACTOR_ORDERING)
+    except RuntimeError as exc:  # how splu reports a singular matrix
+        raise SingularSystem(f"singular system: {exc}") from exc
+
+
+def solve_checked(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
+    """Solve matrix @ x = rhs through :func:`factorize`.
+
+    Raises SingularSystem as :func:`factorize` does, and SolverFailure
+    unless x is finite and ||matrix @ x - rhs|| / ||rhs|| <= 1e-10.
+    """
+    matrix = matrix.tocsc()
+    x = factorize(matrix).solve(rhs)
+    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    residual = float(np.linalg.norm(matrix @ x - rhs)) / scale
+    if not np.isfinite(x).all() or residual > 1e-10:
+        raise SolverFailure(f"relative residual {residual:.3e} exceeds 1e-10")
+    return x
 
 
 def as_vertex_map(values, size: int) -> np.ndarray:

@@ -172,7 +172,8 @@ def minimize(
     (see :class:`SolveReport` for the messages).
 
     Raises ``InvalidTopology`` unless the mesh is a topological disk (see
-    :func:`~diskmap.mesh.require_disk`).
+    :func:`~diskmap.mesh.require_disk`), and ``SingularSystem`` if the
+    interior block of the Laplacian is singular.
     """
     options = options or MinimizerOptions()
     require_disk(mesh)

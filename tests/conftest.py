@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from diskmap import HemisphereSpec, TriMesh, gen_hemisphere, stereographic_project
 
@@ -74,6 +75,21 @@ class WrongFactor:
 
     def solve(self, rhs):
         return np.ones_like(rhs)
+
+
+def splu_singular_from_call(count):
+    """Stands in for ``scipy.sparse.linalg.splu``: factors as splu does for
+    its first `count` - 1 calls, then fails as splu does on a singular
+    matrix."""
+    splu, calls = spla.splu, []
+
+    def factor(matrix, **kwargs):
+        calls.append(None)
+        if len(calls) >= count:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(matrix, **kwargs)
+
+    return factor
 
 
 def random_triangle(rng, dim=2, scale=1.0, min_quality=1e-3):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from diskmap import (
     BeltramiCoefficient,
@@ -18,7 +19,7 @@ from diskmap import (
     face_weights,
     solve_beltrami,
 )
-from diskmap import beltrami
+from diskmap import laplacian
 from diskmap.beltrami import read_boundary_csv, read_mu_csv
 
 from conftest import WrongFactor, planar_disk_mesh, random_triangle
@@ -101,6 +102,20 @@ class TestFaceWeights:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("exponent", [300, -300, 565, -565])
+    def test_rows_do_not_depend_on_the_mesh_scale(self, exponent):
+        # each face is measured at unit scale, so a power-of-two scaling is
+        # exact; at 2^-565 the raw cross product underflowed to 0, at 2^565
+        # it overflowed
+        mesh = planar_disk_mesh(6, 9)
+        rng = np.random.default_rng(3)
+        radius = 0.5 * np.sqrt(rng.random(mesh.num_faces))
+        angle = 2.0 * math.pi * rng.random(mesh.num_faces)
+        mu = BeltramiCoefficient(radius * np.cos(angle), radius * np.sin(angle))
+        scaled = TriMesh(np.ldexp(mesh.vertices, exponent), mesh.faces)
+        expected = assemble_beltrami(mesh, mu).toarray()
+        assert np.array_equal(assemble_beltrami(scaled, mu).toarray(), expected)
+
     def test_equals_per_face_reference(self):
         mesh = planar_disk_mesh(6, 9)
         rng = np.random.default_rng(14)
@@ -212,17 +227,17 @@ class TestSolve:
             assemble_beltrami(mesh, BeltramiCoefficient.zero(2))
 
     def test_singular_interior_block_raises(self, monkeypatch):
-        def singular(matrix):
+        def singular(matrix, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        monkeypatch.setattr(beltrami, "factorize", singular)
+        monkeypatch.setattr(spla, "splu", singular)
         mesh = planar_disk_mesh(6, 9)
         boundary = mesh.vertices[mesh.boundary_vertices][:, :2]
-        with pytest.raises(SingularSystem, match="interior block is singular"):
+        with pytest.raises(SingularSystem, match="singular system: Factor is exactly singular"):
             solve_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces), boundary)
 
     def test_wrong_solve_fails_the_residual_check(self, monkeypatch):
-        monkeypatch.setattr(beltrami, "factorize", WrongFactor)
+        monkeypatch.setattr(laplacian, "factorize", WrongFactor)
         mesh = planar_disk_mesh(6, 9)
         boundary = mesh.vertices[mesh.boundary_vertices][:, :2]
         with pytest.raises(SolverFailure, match="relative residual .* exceeds 1e-10"):
@@ -320,6 +335,14 @@ class TestCsvIngestion:
         path.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
         values = read_boundary_csv(path, mesh)
         assert np.array_equal(values, mesh.vertices[mesh.boundary_vertices][:, :2])
+
+    @pytest.mark.parametrize("face", [99, -1])
+    def test_face_out_of_range_rejected(self, tmp_path, face):
+        mesh = planar_disk_mesh(6, 9)  # 99 faces
+        path = tmp_path / "mu.csv"
+        path.write_text(f"face,mu1,mu2\n0,0.25,-0.1\n{face},0.0,0.5\n")
+        with pytest.raises(DimensionMismatch, match=f"^face index {face} out of range$"):
+            read_mu_csv(path, mesh.num_faces)
 
     def test_face_given_twice_rejected(self, tmp_path):
         mesh = planar_disk_mesh(6, 9)

@@ -1,12 +1,14 @@
+import math
 import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from diskmap import HemisphereSpec, TriMesh, gen_hemisphere, load_mesh, save_mesh
 from diskmap.cli import _write_vertex_map, main
 
-from conftest import annulus_mesh, planar_disk_mesh, thin_l_mesh
+from conftest import annulus_mesh, planar_disk_mesh, splu_singular_from_call, thin_l_mesh
 
 
 def run(args):
@@ -198,6 +200,15 @@ class TestSolve:
         )
         assert (tmp_path / "map.csv").exists() and (tmp_path / "trace.csv").exists()
 
+    def test_singular_interior_block_exit_1(self, tmp_path, capsys, monkeypatch):
+        # the harmonic init factors first, then the minimizer's interior block
+        monkeypatch.setattr(spla, "splu", splu_singular_from_call(2))
+        assert run(["--out-dir", str(tmp_path), "solve", "--n", "8", "--r", "0.9"]) == 1
+        assert capsys.readouterr().err == (
+            "numerical failure: singular system: Factor is exactly singular\n"
+        )
+        assert not list(tmp_path.iterdir())
+
     def test_annulus_exit_1(self, tmp_path, capsys):
         path = tmp_path / "annulus.off"
         save_mesh(annulus_mesh(), path)
@@ -251,6 +262,22 @@ def test_r_with_m_exit_2(tmp_path, capsys, command):
     args = [command, "--n", "8", "--m", "9", "--r", "0.5", *out]
     assert run(["--out-dir", str(tmp_path), *args]) == 2
     assert capsys.readouterr().err == "error: --r does not apply with --m\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["solve --r 0.9", "solve --m 5", "quality --r 0.9", "quality --m 5", "solve", "quality"],
+)
+def test_neither_mesh_nor_n_exit_2(tmp_path, capsys, command):
+    assert run(["--out-dir", str(tmp_path), *command.split()]) == 2
+    assert capsys.readouterr().err == "error: need either --mesh or --n\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_n_without_m_or_r_exit_2(tmp_path, capsys):
+    assert run(["--out-dir", str(tmp_path), "solve", "--n", "8"]) == 2
+    assert capsys.readouterr().err == "error: need either --m or --r with --n\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -411,6 +438,26 @@ class TestBeltramiCommand:
         )
         assert code == 1
 
+
+    def test_mu_inside_the_disk_but_too_close_to_its_circle_is_an_input_error(
+        self, tmp_path, capsys
+    ):
+        # mu1^2 < 1 holds, but 1 - mu1^2 is below the 1e-12 the solve needs
+        mu1 = math.sqrt(1.0 - 1e-13)
+        assert 0.0 < 1.0 - mu1**2 < 1e-12
+        mesh = planar_disk_mesh(6, 9)
+        save_mesh(mesh, tmp_path / "disk.off")
+        (tmp_path / "mu.csv").write_text(f"face,mu1,mu2\n0,{mu1:.17g},0\n")
+        boundary = mesh.boundary_vertices
+        rows = [f"{v},{x:.17g},{y:.17g}" for v, (x, y) in zip(boundary, mesh.vertices[boundary])]
+        (tmp_path / "bnd.csv").write_text("\n".join(["vertex,x,y", *rows]) + "\n")
+        args = ["--mesh", str(tmp_path / "disk.off"), "--mu", str(tmp_path / "mu.csv")]
+        args += ["--boundary", str(tmp_path / "bnd.csv")]
+        assert run(["--out-dir", str(tmp_path), "beltrami", *args]) == 1
+        assert capsys.readouterr().err.startswith(
+            "input error: face 0: need 1 - mu1^2 - mu2^2 >= 1e-12, got "
+        )
+        assert not (tmp_path / "beltrami.csv").exists()
 
     @pytest.mark.parametrize(
         "which, row",

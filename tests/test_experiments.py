@@ -9,6 +9,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from diskmap import (
     ConvergenceRow,
@@ -25,6 +26,8 @@ from diskmap import (
     stereographic_project,
 )
 from diskmap import experiments
+
+from conftest import splu_singular_from_call
 
 FAST = MinimizerOptions(gradient_tolerance=1e-6, max_iterations=1500)
 
@@ -120,6 +123,13 @@ class TestSolveCase:
         final = case.report.energy_trace[-1].conformal
         assert final <= start
         assert start < 50 * max(final, 1e-12)
+
+    def test_singular_interior_block_gives_the_nan_row(self, monkeypatch):
+        # the harmonic init factors first, then the minimizer's interior block
+        monkeypatch.setattr(spla, "splu", splu_singular_from_call(2))
+        row = experiments._sweep_row(HemisphereSpec.from_counts(8, 6), FAST, "unit", 3)
+        assert (row.n, row.m, row.converged) == (8, 6, False)
+        assert math.isnan(row.rel_error) and math.isnan(row.energy_solution)
 
 
 # Three-point rule exact for quadratics, and its k x k composite.

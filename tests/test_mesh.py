@@ -574,6 +574,30 @@ class TestOffIO:
         with pytest.raises(ParseError):
             load_mesh(path)
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", None, "empty file"),
+            ("# a comment\n\n   # another\n", None, "empty file"),
+            ("OFF\n", 1, "missing counts line"),
+            ("# header next\nOFF\n# no counts\n", 2, "missing counts line"),
+            ("OFF\n3 1 0\n0 0 0\n1 0 0\n3 0 1 2\n", 5, "expected 3 vertex and 1 face lines, found 3"),
+            (
+                "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n\n3 0 1 2\n",
+                8,
+                "expected 3 vertex and 1 face lines, found 5",
+            ),
+        ],
+        ids=["empty", "comments_only", "no_counts", "no_counts_after_comments", "too_few", "too_many"],
+    )
+    def test_structure_errors_name_their_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.off"
+        path.write_text(text)
+        with pytest.raises(ParseError) as excinfo:
+            load_mesh(path)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == (message if line is None else f"line {line}: {message}")
+
     def test_invalid_topology_detected(self, tmp_path):
         path = tmp_path / "bad.off"
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 1\n")

@@ -6,11 +6,12 @@ Extracts ``git archive REV src`` to a temporary directory and runs one
 fixed list of ``python -m diskmap.cli`` commands, one at a time and at one
 OpenBLAS thread, against that tree and against the working tree's
 ``src``.  Both sides read the same inputs, written once by the working
-tree: two planar meshes from ``tests/conftest.py`` saved as OFF, and the
-Beltrami inputs of ``perfbench/checks.py`` for the n = 96 hemisphere,
-seed 1.  For each command it compares the exit codes, stdout and stderr
-(with the output directory replaced by ``<out>``) and every output file
-but ``timing.log``.  It prints each difference and exits 1 if there is
+tree: two planar meshes from ``tests/conftest.py`` saved as OFF, a seeded
+|mu| <= 0.5 ``mu.csv`` and the disk mesh's own boundary as
+``boundary.csv``, and the Beltrami inputs of ``perfbench/checks.py`` for
+the n = 96 hemisphere, seed 1.  For each command it compares the exit
+codes, stdout and stderr (with the output directory replaced by
+``<out>``) and every output file but ``timing.log``.  It prints each difference and exits 1 if there is
 any, else 0.  The temporary files are removed on exit.
 """
 
@@ -23,6 +24,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,6 +44,7 @@ COMMANDS = [
     ["quality", "--mesh", "{thin_l}"],
     ["converge", "--r", "0.9166667", "--rho", "quadrature"],
     ["beltrami", "--mesh", "{belt_mesh}", "--mu", "{belt_mu}", "--boundary", "{belt_boundary}"],
+    ["beltrami", "--mesh", "{disk}", "--mu", "{disk_mu}", "--boundary", "{disk_boundary}"],
 ]
 
 
@@ -66,8 +70,25 @@ def write_inputs(directory):
 
     directory.mkdir()
     inputs = {"disk": f"{directory}/disk.off", "thin_l": f"{directory}/thin_l.off"}
-    save_mesh(conftest.planar_disk_mesh(6, 9), inputs["disk"])
+    inputs.update(disk_mu=f"{directory}/mu.csv", disk_boundary=f"{directory}/boundary.csv")
+    disk = conftest.planar_disk_mesh(6, 9)
+    save_mesh(disk, inputs["disk"])
     save_mesh(conftest.thin_l_mesh(), inputs["thin_l"])
+    rng = np.random.default_rng(1)
+    radius = 0.5 * np.sqrt(rng.random(disk.num_faces))
+    angle = 2.0 * np.pi * rng.random(disk.num_faces)
+    with open(inputs["disk_mu"], "w", encoding="utf-8") as fh:
+        fh.write("face,mu1,mu2\n")
+        fh.writelines(
+            f"{t},{r * np.cos(a):.17g},{r * np.sin(a):.17g}\n"
+            for t, (r, a) in enumerate(zip(radius, angle))
+        )
+    with open(inputs["disk_boundary"], "w", encoding="utf-8") as fh:
+        fh.write("vertex,x,y\n")
+        fh.writelines(
+            f"{v},{disk.vertices[v, 0]:.17g},{disk.vertices[v, 1]:.17g}\n"
+            for v in disk.boundary_vertices
+        )
     hemi = checks.hemisphere(96, checks.meridians(96, 0.9166667))
     belt = checks.write_beltrami_inputs(hemi, 1, f"{directory}/beltrami")
     inputs.update(belt_mesh=belt.mesh_path, belt_mu=belt.mu_path, belt_boundary=belt.boundary_path)
