@@ -82,11 +82,9 @@ from .laplacian import (
     per_triangle_dirichlet_matrix,
 )
 from .mesh import (
-    ProjectionFrame,
     TriangleGeom,
     TriMesh,
     load_mesh,
-    projection_frame,
     save_mesh,
     triangle_metrics,
 )

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateCoefficient,
     DegenerateTriangle,
     DimensionMismatch,
+    InvalidTopology,
     NonFiniteVertex,
 )
 from .laplacian import solve_checked
@@ -127,7 +128,10 @@ def face_weights(v_i, v_j, v_k, mu1, mu2) -> np.ndarray:
 def planar_vertices(mesh: TriMesh) -> np.ndarray:
     """The (N, 2) vertices of a 2-d mesh, or of a 3-d one with all |z| <=
     1e-12 (else ``DimensionMismatch``), whose faces share one orientation
-    sign (else ``InvalidTopology``)."""
+    sign and use every vertex (else ``InvalidTopology``)."""
+    unused = np.bincount(mesh.faces.ravel(), minlength=mesh.num_vertices) == 0
+    if unused.any():
+        raise InvalidTopology(f"vertex {int(np.argmax(unused))} is in no face")
     v = mesh.vertices
     if v.shape[1] == 3 and np.allclose(v[:, 2], 0.0, atol=1e-12):
         v = v[:, :2]

@@ -269,7 +269,7 @@ class TriangleQuality:
 
 def quality_report(mesh: TriMesh) -> TriangleQuality:
     """Shape diagnostics for every face."""
-    geom = triangle_metrics(*mesh.face_points())
+    geom = mesh.geometry
     min_angle = geom.angles.min(axis=1)
     return TriangleQuality(
         diam=geom.diameter,
@@ -301,7 +301,7 @@ def scan_degraded_faces(
     bad = [f"{k}={v}" for k, v in thresholds.items() if not (math.isfinite(v) and v >= 0)]
     if bad:
         raise ValueError(f"degraded-face thresholds must be finite and >= 0: {', '.join(bad)}")
-    lengths = np.sort(triangle_metrics(*mesh.face_points()).edge_lengths, axis=1)
+    lengths = np.sort(mesh.geometry.edge_lengths, axis=1)
     short = lengths[:, 0] / lengths[:, 2]
     mid = lengths[:, 1] / lengths[:, 2]
     return np.flatnonzero((short <= short_ratio) & (np.abs(mid - 1.0) <= near_equal))

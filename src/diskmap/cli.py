@@ -7,13 +7,14 @@ read (``--quad-order`` off quadrature weights, ``--r`` with ``--m``)
 included.  ``solve`` exits 1 when its final map folds a face or puts
 the boundary out of cyclic order, even where the gradient test passed.
 Any ``DiskmapError`` raised while reading an input file (OFF mesh,
-``mu.csv``, ``boundary.csv``) prints as ``input error: ...`` and every
-other one as ``numerical failure: ...``; both exit 1.  An argument
-``@path`` is a run manifest: argparse replaces it by the file's lines,
-one argument per line (``--r=0.9166667``; the subcommand may be one of
-them), and converts and checks them like the command line's.  A later
-argument overrides an earlier one.  The ``DISKMAP_OUTDIR`` environment
-variable sets the default output root.
+``mu.csv``, ``boundary.csv``), a degenerate face of a ``--mesh`` file
+and a ``beltrami`` mesh vertex in no face included, prints as ``input
+error: ...`` and every other one as ``numerical failure: ...``; both
+exit 1.  An argument ``@path`` is a run manifest: argparse replaces it
+by the file's lines, one argument per line (``--r=0.9166667``; the
+subcommand may be one of them), and converts and checks them like the
+command line's.  A later argument overrides an earlier one.  Reports go
+to ``--out-dir``, by default the working directory.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ NUMERICAL_ERROR = 1
 
 
 def _out_root(args):
-    root = args.out_dir or os.environ.get("DISKMAP_OUTDIR") or "."
+    root = args.out_dir or "."
     os.makedirs(root, exist_ok=True)
     return root
 
@@ -110,7 +111,8 @@ def cmd_gen(args):
 
 
 def _load_or_generate(args, weights=None):
-    """Either an OFF mesh (unit weights only) or a generated hemisphere.
+    """Either an OFF mesh (unit weights only), measured once to refuse a
+    degenerate face, or a generated hemisphere.
 
     With ``--mesh``, a flag that only a generated hemisphere reads is
     refused rather than ignored: ``--n``, ``--m``, ``--r``, and each flag
@@ -123,7 +125,9 @@ def _load_or_generate(args, weights=None):
     conflicts = [flag for flag, value in given.items() if value is not None]
     if conflicts:
         raise argparse.ArgumentTypeError(f"{conflicts[0]} does not apply to --mesh")
-    return _read(load_mesh, args.mesh), None
+    mesh = _read(load_mesh, args.mesh)
+    _read(lambda: mesh.geometry)  # a degenerate face is the file's fault too
+    return mesh, None
 
 
 def cmd_solve(args):

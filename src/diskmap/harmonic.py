@@ -48,9 +48,8 @@ def dirac_source(mesh: TriMesh, face: int) -> np.ndarray:
     """
     if not 0 <= face < mesh.num_faces:
         raise ValueError(f"source face {face} is not in [0, {mesh.num_faces})")
-    v_i, v_j, v_k = mesh.face_points(face)
-    pairs = source_pairs(v_i, v_j, v_k)
-    double_area = 2.0 * triangle_metrics(v_i, v_j, v_k).area
+    pairs = source_pairs(*mesh.face_points(face))
+    double_area = 2.0 * mesh.geometry.area[face]
     b = np.zeros((mesh.num_vertices, 2))
     b[mesh.faces[face]] = np.column_stack([pairs[:, 0], -pairs[:, 1]]) / double_area
     return b

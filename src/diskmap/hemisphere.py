@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import BoundsConfig
 from .errors import DimensionMismatch, NearPole
-from .mesh import TriMesh, dot, projection_frame
+from .mesh import TriMesh, dot
 from .surface import ParamSurface, triangle_rule
 
 # Lipschitz constant of the chart gradient: the second-derivative tensor
@@ -269,13 +269,13 @@ class HemisphereMesh:
             )
         corners = self.mesh.vertices[self.mesh.faces]           # (F, 3, 3)
         values = f[self.mesh.faces]                             # (F, 3, 2)
-        frame = projection_frame(*self.mesh.face_points())
-        discrete = np.einsum("fic,fid->fcd", values, frame.hat_gradients)  # (F, 2, 3)
-        tangent = np.eye(3) - frame.normal[:, :, None] * frame.normal[:, None, :]
+        geom = self.mesh.geometry
+        discrete = np.einsum("fic,fid->fcd", values, geom.hat_gradients)  # (F, 2, 3)
+        tangent = np.eye(3) - geom.normal[:, :, None] * geom.normal[:, None, :]
         bary, weights = triangle_rule(2)
         points = np.einsum("qi,fid->fqd", bary, corners)  # (F, 3, 3)
         exact = _radial_stereographic_jacobian(points) @ tangent[:, None]
-        weight = frame.area[:, None] * weights
+        weight = geom.area[:, None] * weights
         err = np.sum(weight * np.sum((exact - discrete[:, None]) ** 2, axis=(2, 3)))
         norm = np.sum(weight * np.sum(exact**2, axis=(2, 3)))
         return float(np.sqrt(err / norm))

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NonFiniteWeight, SingularSystem, SolverFailure
-from .mesh import TriangleGeom, TriMesh, projection_frame, triangle_metrics
+from .mesh import TriangleGeom, TriMesh, triangle_metrics
 from .surface import ParamSurface, patch_area_quadrature
 
 
@@ -53,7 +53,6 @@ def face_area_ratios(
     """
     if mode == "unit":
         return np.ones(mesh.num_faces)
-    corners = mesh.face_points()
     if mode == "quadrature":
         if surface is None or param_cells is None:
             raise ValueError("quadrature mode needs a surface and parameter cells")
@@ -63,10 +62,10 @@ def face_area_ratios(
     elif mode == "analytic":
         if surface is None or surface.patch_area is None:
             raise ValueError("analytic mode needs a surface with patch_area")
-        patch = surface.patch_area(*corners)
+        patch = surface.patch_area(*mesh.face_points())
     else:
         raise ValueError(f"unknown area-ratio mode {mode!r}")
-    return patch / triangle_metrics(*corners).area
+    return patch / mesh.geometry.area
 
 
 def assemble_laplacian(
@@ -85,7 +84,7 @@ def assemble_laplacian(
     if not np.isfinite(face_ratios).all():
         raise NonFiniteWeight("non-finite area ratio")
 
-    cots = triangle_metrics(*mesh.face_points()).cotangents  # (at_i, at_j, at_k)
+    cots = mesh.geometry.cotangents  # (at_i, at_j, at_k)
     bad = ~np.isfinite(cots).all(axis=1)
     if bad.any():
         raise NonFiniteWeight(f"non-finite cotangent in face {int(np.argmax(bad))}")
@@ -180,10 +179,10 @@ def per_triangle_dirichlet_matrix(f_i, f_j, f_k, v_i, v_j, v_k, rho: float = 1.0
     (rho / (4 A)) |[f_i f_j f_k] [s_i s_j s_k]^T|_F^2 with the rotated
     edges s; agrees with :func:`per_triangle_dirichlet` to rounding.
     """
-    frame = projection_frame(v_i, v_j, v_k)
+    geom = triangle_metrics(v_i, v_j, v_k)
     fmat = np.column_stack([f_i, f_j, f_k]).astype(float)
-    m = fmat @ frame.rotated_edges
-    return float(np.sum(m * m)) * rho / (4.0 * frame.area)
+    m = fmat @ geom.rotated_edges
+    return float(np.sum(m * m)) * rho / (4.0 * geom.area)
 
 
 def mapped_area(mesh: TriMesh, f) -> float:

@@ -3,11 +3,13 @@ row reader of every input table and the row writer of every report table.
 
 The mesh is an oriented manifold triangle surface with boundary, planar
 or spatial.  Vertices and faces are immutable numpy arrays; all
-derived connectivity (edges, boundary) is computed once at construction.
+derived connectivity (edges, boundary) is computed once at construction,
+and the per-face geometry once, on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -187,6 +189,15 @@ class TriMesh:
             loops.append(loop)
         return loops
 
+    @functools.cached_property
+    def geometry(self) -> TriangleGeom:
+        """:func:`triangle_metrics` of every face, measured on first use and
+        kept, with read-only arrays; raises its ``DegenerateTriangle``."""
+        geom = triangle_metrics(*self.face_points())
+        for field in vars(geom).values():
+            field.setflags(write=False)
+        return geom
+
     def face_points(self, index=slice(None)):
         """The three vertex positions of face `index`.
 
@@ -231,11 +242,14 @@ class TriangleGeom:
     ``cotangents`` are ordered by the corner they live at, (at_i, at_j,
     at_k), so ``angles[..., 0]`` is the angle opposite the jk edge and so
     on.  ``normal`` is the right-handed unit normal of the vertex order,
-    (0, 0, ±1) for a planar triangle.
+    (0, 0, ±1) for a planar triangle.  ``rotated_edges`` holds s_i, s_j,
+    s_k, the edge opposite each corner crossed with the normal, and
+    ``hat_gradients`` divides them by twice the area: the in-plane
+    gradients of the barycentric coordinates, a dual basis to the edges.
 
     For a stack of shape S, empty for one triangle, ``edge_lengths``,
-    ``angles``, ``cotangents`` and ``normal`` are (*S, 3) arrays and the
-    scalar fields are arrays of shape S.
+    ``angles``, ``cotangents`` and ``normal`` are (*S, 3) arrays, the
+    frames are (*S, 3, 3) and the scalar fields are arrays of shape S.
     """
 
     edge_lengths: np.ndarray
@@ -245,6 +259,8 @@ class TriangleGeom:
     diameter: np.ndarray
     inradius: np.ndarray
     normal: np.ndarray
+    rotated_edges: np.ndarray
+    hat_gradients: np.ndarray
 
 
 def dot(a, b):
@@ -264,10 +280,10 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
     of points, which gives the metrics of every triangle in the stack at
     once.  A planar triangle is measured as the spatial one at z = 0.
     Each triangle is measured at unit scale, so its cotangents, angles
-    and normal do not depend on its size; only a length or area outside
-    double range rounds to inf or 0.  Cotangents come from dot and cross
-    products directly, never by taking an angle and re-evaluating trig
-    functions.
+    and normal do not depend on its size, and its frames are scaled back
+    exactly; only a length, area or frame vector outside double range
+    rounds to inf or 0.  Cotangents come from dot and cross products
+    directly, never by taking an angle and re-evaluating trig functions.
 
     Raises
     ------
@@ -301,11 +317,15 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
             )
         inradius = np.ldexp(double_area / lengths.sum(axis=-1), e)
         lengths = np.ldexp(lengths, e[..., None])
+        n = np.cross(d_ij, -d_ki)
+        normal = n / np.sqrt(dot(n, n))[..., None]
+        # s_i, s_j, s_k: the opposite edges v_j - v_k, v_k - v_i, v_i - v_j x normal.
+        rotated = np.cross(-np.stack([d_jk, d_ki, d_ij], axis=-2), normal[..., None, :])
+        hats = np.ldexp(rotated / double_area[..., None, None], -e[..., None, None])
+        rotated = np.ldexp(rotated, e[..., None, None])
 
     cots = dots / double_area[..., None]
     angles = np.arctan2(double_area[..., None], dots)
-    n = np.cross(d_ij, -d_ki)
-    normal = n / np.sqrt(dot(n, n))[..., None]
     return TriangleGeom(
         edge_lengths=lengths,
         angles=angles,
@@ -314,42 +334,8 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
         diameter=diameter,
         inradius=inradius,
         normal=normal,
-    )
-
-
-@dataclass(frozen=True)
-class ProjectionFrame:
-    """Hat-function frame of one triangle, or of a stack of triangles.
-
-    ``rotated_edges`` (3, 3) holds s_i, s_j, s_k, the edge opposite each
-    corner crossed with the normal; ``hat_gradients`` (3, 3) divides them
-    by twice the area, which gives the in-plane gradients of the
-    barycentric coordinates, a dual basis to the edges.  ``normal`` is
-    the triangle's unit normal.  A planar triangle is the spatial one at
-    z = 0, so its normal is (0, 0, ±1) and its frame vectors have z = 0.
-    For a stack of shape S every field gains the leading shape S, and
-    ``area`` is an array of shape S.
-    """
-
-    rotated_edges: np.ndarray
-    hat_gradients: np.ndarray
-    normal: np.ndarray
-    area: np.ndarray
-
-
-def projection_frame(v_i, v_j, v_k) -> ProjectionFrame:
-    """Build the :class:`ProjectionFrame` of the triangle (v_i, v_j, v_k).
-
-    Takes points like :func:`triangle_metrics`, whose normal and area it
-    uses, and raises its ``DegenerateTriangle``.
-    """
-    v_i, v_j, v_k = _spatial(v_i), _spatial(v_j), _spatial(v_k)
-    geom = triangle_metrics(v_i, v_j, v_k)
-    opposite = np.stack([v_j - v_k, v_k - v_i, v_i - v_j], axis=-2)
-    rotated = np.cross(opposite, geom.normal[..., None, :])
-    hats = rotated / (2.0 * geom.area)[..., None, None]
-    return ProjectionFrame(
-        rotated_edges=rotated, hat_gradients=hats, normal=geom.normal, area=geom.area
+        rotated_edges=rotated,
+        hat_gradients=hats,
     )
 
 

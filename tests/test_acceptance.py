@@ -45,7 +45,6 @@ from diskmap import (
     gen_hemisphere,
     per_triangle_dirichlet,
     per_triangle_dirichlet_matrix,
-    projection_frame,
     quality_report,
     run_sweep,
     solve_beltrami,
@@ -199,7 +198,7 @@ def test_c05_bound_soundness():
                 * geom.diameter**3
                 / (cfg_geom.sigma_min * geom.area)
             )
-            frame = projection_frame(*mesh.face_points(t))
+            frame = triangle_metrics(*mesh.face_points(t))
             anchor = np.asarray(mesh.face_points(t)[0])
             for _ in range(6):
                 w = rng.dirichlet(np.ones(3)) @ tri

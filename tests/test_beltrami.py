@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from diskmap import (
     BeltramiCoefficient,
     DegenerateCoefficient,
+    DegenerateTriangle,
     DimensionMismatch,
     InvalidTopology,
     NonFiniteVertex,
@@ -259,6 +260,26 @@ class TestSolve:
         flat = TriMesh(np.column_stack([square, np.zeros(5)]), fan)
         with pytest.raises(InvalidTopology, match="orientation sign"):
             assemble_beltrami(flat, BeltramiCoefficient.zero(4))
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("mu_shapes", DimensionMismatch, "mu1 and mu2 must have matching shapes"),
+        ("zero_area_face", DegenerateTriangle, "face 1: degenerate planar face"),
+    ],
+)
+def test_malformed_input_refused(case, error, message):
+    # corners i, j, k of two faces; face 1's are collinear
+    v_i, v_j, v_k = np.array(
+        [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [2.0, 2.0]]]
+    )
+    calls = {
+        "mu_shapes": lambda: BeltramiCoefficient(np.zeros(3), np.zeros(4)),
+        "zero_area_face": lambda: face_weights(v_i, v_j, v_k, np.zeros(2), np.zeros(2)),
+    }
+    with pytest.raises(error, match=f"^{message}$"):
+        calls[case]()
+
 
 class TestCsvIngestion:
     def test_mu_round_trip(self, tmp_path):

@@ -22,7 +22,6 @@ from diskmap import (
     gradient_error_terms_reduced,
     integrated_error_bound,
     plane_distance_bound,
-    projection_frame,
     quality_report,
     scan_degraded_faces,
     tangent_tilt_bound,
@@ -171,6 +170,15 @@ class TestEigenMinScan:
                 1.0, float(np.abs(columns).max()) ** 2
             )
 
+    def test_coincident_columns_scan_the_unit_box(self):
+        # no column lies off the mean, so the half width falls back to 1;
+        # B = k (c - x)(c - x)^T, whose eigenvalues at the mean are both 0
+        columns = np.tile([[0.5], [0.25]], 4)
+        report = eigen_min_scan(columns, grid_resolution=5)
+        assert np.array_equal(report.values_at_mean, [0.0, 0.0])
+        assert np.array_equal(report.grid_minima, [0.0, 0.0])
+        assert report.cell_distances[1] == 0.0 and report.value_mismatch == 0.0
+
     def test_values_match_reference_matrix(self):
         rng = np.random.default_rng(4)
         columns = rng.normal(size=(2, 3))
@@ -201,7 +209,7 @@ class TestTangentTiltBound:
                 tri = np.asarray(hemi.param_tris[t])
                 geom = param_geom(tri)
                 bound = tangent_tilt_bound(cfg, geom.diameter, geom.area)
-                frame = projection_frame(*mesh.face_points(t))
+                frame = triangle_metrics(*mesh.face_points(t))
                 for _ in range(10):
                     w = rng.dirichlet(np.ones(3)) @ tri
                     if w[1] >= math.pi - 1e-9:
@@ -292,7 +300,7 @@ class TestGradientErrorTerms:
             factor, offset = gradient_error_terms(
                 cfg, vg.diameter, vg.area, pg.diameter, pg.area
             )
-            frame = projection_frame(*mesh.face_points(t))
+            frame = triangle_metrics(*mesh.face_points(t))
             corners = [np.asarray(p) for p in mesh.face_points(t)]
             corner_images = stereographic_project(np.array(corners))
             for _ in range(5):
@@ -311,6 +319,39 @@ class TestGradientErrorTerms:
                 tilt = np.linalg.norm(frame.normal @ basis)
                 measured = surrogate_err + np.linalg.norm(g_map) * tilt**2
                 assert measured <= np.linalg.norm(g_map) * factor + offset
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("pinv_square_triangle", DegenerateTriangle, r"parameter triangle must be \(3, 2\)"),
+        ("pinv_two_corners", DegenerateTriangle, r"parameter triangle must be \(3, 2\)"),
+        ("tilt_zero_area", DegenerateTriangle, "parameter triangle area must be positive"),
+        ("tilt_negative_area", DegenerateTriangle, "parameter triangle area must be positive"),
+        ("terms_zero_face_area", DegenerateTriangle, "face and parameter areas must be positive"),
+        ("terms_negative_param_area", DegenerateTriangle, "face and parameter areas must be"),
+        ("negative_energy", ValueError, "energy and integral bound must be non-negative"),
+        ("negative_integral", ValueError, "energy and integral bound must be non-negative"),
+        ("three_rows", ValueError, "columns must be a 2 x k array"),
+        ("one_row", ValueError, "columns must be a 2 x k array"),
+    ],
+)
+def test_malformed_input_refused(case, error, message):
+    cfg = band_config()
+    calls = {
+        "pinv_square_triangle": lambda: centered_pinv_norm(np.eye(3)),
+        "pinv_two_corners": lambda: centered_pinv_norm([[0.0, 0.0], [1.0, 0.0]]),
+        "tilt_zero_area": lambda: tangent_tilt_bound(cfg, 0.1, 0.0),
+        "tilt_negative_area": lambda: tangent_tilt_bound(cfg, 0.1, [0.01, -0.01]),
+        "terms_zero_face_area": lambda: gradient_error_terms(cfg, 0.1, 0.0, 0.1, 0.01),
+        "terms_negative_param_area": lambda: gradient_error_terms(cfg, 0.1, 0.01, 0.1, -0.01),
+        "negative_energy": lambda: dirichlet_error_bound(-1.0, 0.5),
+        "negative_integral": lambda: dirichlet_error_bound(1.0, -0.5),
+        "three_rows": lambda: eigen_min_scan(np.zeros((3, 4))),
+        "one_row": lambda: eigen_min_scan(np.zeros(4)),
+    }
+    with pytest.raises(error, match=f"^{message}"):
+        calls[case]()
 
 
 class TestDirichletErrorBound:

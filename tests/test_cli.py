@@ -525,6 +525,18 @@ class TestBeltramiCommand:
         assert capsys.readouterr().err == error
         assert not (tmp_path / "beltrami.csv").exists()
 
+    def test_vertex_in_no_face_is_an_input_error(self, tmp_path, capsys):
+        # a unit square split into two triangles, and a fifth vertex no face uses
+        path = tmp_path / "square.off"
+        path.write_text("OFF\n5 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n5 5 0\n3 0 1 2\n3 0 2 3\n")
+        (tmp_path / "mu.csv").write_text("face,mu1,mu2\n")
+        (tmp_path / "bnd.csv").write_text("vertex,x,y\n0,0,0\n1,1,0\n2,1,1\n3,0,1\n")
+        args = ["--mesh", str(path), "--mu", str(tmp_path / "mu.csv")]
+        args += ["--boundary", str(tmp_path / "bnd.csv")]
+        assert run(["--out-dir", str(tmp_path), "beltrami", *args]) == 1
+        assert capsys.readouterr().err == "input error: vertex 4 is in no face\n"
+        assert not (tmp_path / "beltrami.csv").exists()
+
     @pytest.mark.parametrize(
         "row, error",
         [
@@ -583,6 +595,30 @@ def test_face_line_not_starting_with_3_named_before_a_later_refused_line(tmp_pat
     path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2\n3 1 3 1_0\n")
     assert run(["--out-dir", str(tmp_path), "quality", "--mesh", str(path)]) == 1
     assert capsys.readouterr().err == "input error: line 7: expected a face line '3 i j k', found '4 0 1 2'\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "quality"])
+def test_degenerate_face_in_a_mesh_file_is_an_input_error(tmp_path, capsys, command):
+    # a pentagon fanned around vertex 5, which lies on the edge (0, 1):
+    # face 0 is flat to within 1e-20
+    path = tmp_path / "fan.off"
+    path.write_text(
+        "OFF\n6 5 0\n0 0 0\n0.5 0 0\n0.5 -0.5 0\n0.25 -0.7 0\n0 -0.5 0\n0.25 0 1e-20\n"
+        "3 0 1 5\n3 1 2 5\n3 2 3 5\n3 3 4 5\n3 4 0 5\n"
+    )
+    assert run(["--out-dir", str(tmp_path), command, "--mesh", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "input error: face 0: area 0.000e+00 below threshold for d=5.000e-01\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["fan.off"]
+
+
+def test_reports_go_to_the_working_directory_without_out_dir(tmp_path, monkeypatch):
+    # DISKMAP_OUTDIR once set the default output root; it is read no more
+    monkeypatch.setenv("DISKMAP_OUTDIR", str(tmp_path / "elsewhere"))
+    monkeypatch.chdir(tmp_path)
+    assert run(["quality", "--n", "4", "--m", "5"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["quality.csv"]
 
 
 @pytest.mark.parametrize("command", ["quality", "solve", "beltrami"])

@@ -93,6 +93,14 @@ class TestFitExponent:
         assert fit.rows_used == 4
         assert fit.exponent == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("err", [0.0, math.nan])
+    def test_converged_row_without_a_usable_error_dropped(self, err):
+        rows = [synthetic_row(h, 2.0 * h**1.5) for h in (0.8, 0.4, 0.2, 0.1)]
+        rows.insert(2, synthetic_row(0.3, err))
+        fit = fit_exponent(rows)
+        assert fit.rows_used == 4
+        assert fit.exponent == pytest.approx(1.5, abs=1e-10)
+
     def test_insufficient_rows(self):
         rows = [synthetic_row(0.5, 0.1), synthetic_row(0.25, 0.05)]
         with pytest.raises(InsufficientData):

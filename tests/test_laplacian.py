@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from diskmap import (
     BeltramiCoefficient,
     ConformalEnergy,
+    DegenerateTriangle,
     DimensionMismatch,
     HemisphereSpec,
     NonFiniteWeight,
@@ -32,7 +33,7 @@ from diskmap import (
     triangle_metrics,
 )
 from diskmap.hemisphere import sphere_gradient
-from diskmap.laplacian import FACTOR_ORDERING
+from diskmap.laplacian import FACTOR_ORDERING, as_vertex_map
 from diskmap.surface import triangle_rule
 
 from conftest import annulus_mesh, planar_disk_mesh, random_triangle
@@ -63,6 +64,31 @@ def edge_weight(mesh, lap, a, b):
     """Weight of edge {a, b} and whether the edge is on the boundary."""
     key = [min(a, b), max(a, b)]
     return lap.weights[mesh.edges.tolist().index(key)], key in mesh.boundary_edges.tolist()
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("nan_map_entry", DimensionMismatch, "map contains non-finite entries"),
+        ("cell_count", DimensionMismatch, "one parameter cell per face required"),
+        ("no_patch_area", ValueError, "analytic mode needs a surface with patch_area"),
+        ("two_corner_cells", DegenerateTriangle, r"parameter cells must be \(C, k, 2\)"),
+        ("3d_cells", DegenerateTriangle, r"parameter cells must be \(C, k, 2\)"),
+        ("unstacked_cell", DegenerateTriangle, r"parameter cells must be \(C, k, 2\)"),
+    ],
+)
+def test_malformed_input_refused(hemi_small, case, error, message):
+    mesh, surface, cells = hemi_small.mesh, hemi_small.surface, hemi_small.param_cells
+    calls = {
+        "nan_map_entry": lambda: as_vertex_map([[0.0, 0.0], [math.nan, 1.0]], 2),
+        "cell_count": lambda: face_area_ratios(mesh, "quadrature", surface, cells[:1]),
+        "no_patch_area": lambda: face_area_ratios(mesh, "analytic", ParamSurface(sphere_gradient)),
+        "two_corner_cells": lambda: patch_area_quadrature(surface, np.zeros((4, 2, 2))),
+        "3d_cells": lambda: patch_area_quadrature(surface, np.zeros((4, 3, 3))),
+        "unstacked_cell": lambda: patch_area_quadrature(surface, np.zeros((3, 2))),
+    }
+    with pytest.raises(error, match=f"^{message}"):
+        calls[case]()
 
 
 class TestAssembly:

@@ -18,7 +18,6 @@ from diskmap import (
     TriMesh,
     gen_hemisphere,
     load_mesh,
-    projection_frame,
     save_mesh,
     stereographic_project,
     triangle_metrics,
@@ -122,9 +121,9 @@ class TestTriangleMetrics:
                 # a planar triangle is the spatial one at z = 0
                 u, w = tri[1] - tri[0], tri[2] - tri[0]
                 assert np.array_equal(one.normal, [0, 0, np.sign(u[0] * w[1] - u[1] * w[0])])
-        frames = projection_frame(pts[:, 0], pts[:, 1], pts[:, 2])
+        frames = triangle_metrics(pts[:, 0], pts[:, 1], pts[:, 2])
         for t, tri in enumerate(pts):
-            one = projection_frame(*tri)
+            one = triangle_metrics(*tri)
             for field in ("rotated_edges", "hat_gradients", "normal"):
                 assert np.array_equal(getattr(frames, field)[t], getattr(one, field))
             assert frames.area[t] == one.area and one.area.shape == ()
@@ -142,23 +141,25 @@ class TestTriangleMetrics:
 
 
 class TestProjectionFrame:
+    """The hat-function frame fields of :func:`triangle_metrics`."""
+
     def test_unit_right_triangle_first_gradient(self):
-        frame = projection_frame(*RIGHT)
+        frame = triangle_metrics(*RIGHT)
         assert np.allclose(frame.hat_gradients[0], [-1.0, -1.0, 0.0], atol=1e-14)
 
     def test_gradients_sum_to_zero(self):
         rng = np.random.default_rng(1)
         for dim in (2, 3):
             for _ in range(50):
-                frame = projection_frame(*random_triangle(rng, dim))
+                frame = triangle_metrics(*random_triangle(rng, dim))
                 assert np.allclose(frame.hat_gradients.sum(axis=0), 0.0, atol=1e-12)
 
     def test_scaling_inverts_gradients(self):
         rng = np.random.default_rng(2)
         pts = random_triangle(rng, 3)
         t = 3.7
-        base = projection_frame(*pts)
-        scaled = projection_frame(*(t * pts))
+        base = triangle_metrics(*pts)
+        scaled = triangle_metrics(*(t * pts))
         assert np.allclose(scaled.hat_gradients, base.hat_gradients / t, rtol=1e-12)
 
     def test_dual_basis_pattern(self):
@@ -166,7 +167,7 @@ class TestProjectionFrame:
         rng = np.random.default_rng(3)
         for dim in (2, 3):
             tri = random_triangle(rng, dim)
-            frame = projection_frame(*tri)
+            frame = triangle_metrics(*tri)
             pts = np.pad(tri, ((0, 0), (0, 3 - dim)))  # planar corners at z = 0
             bases = (pts[1], pts[2], pts[0])  # v_j, v_k, v_i respectively
             for ell in range(3):
@@ -181,21 +182,42 @@ class TestProjectionFrame:
         rng = np.random.default_rng(4)
         for _ in range(50):
             pts = random_triangle(rng, 3)
-            frame = projection_frame(*pts)
+            frame = triangle_metrics(*pts)
             for b in frame.hat_gradients:
                 assert abs(b @ frame.normal) <= 1e-12 * np.linalg.norm(b)
 
     def test_rotated_edges_match_lengths(self):
         rng = np.random.default_rng(5)
         pts = random_triangle(rng, 3)
-        frame = projection_frame(*pts)
+        frame = triangle_metrics(*pts)
         opposite = [pts[1] - pts[2], pts[2] - pts[0], pts[0] - pts[1]]
         for s, e in zip(frame.rotated_edges, opposite):
             assert np.linalg.norm(s) == pytest.approx(np.linalg.norm(e), rel=1e-12)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTriangle):
-            projection_frame([0.0, 0.0], [1.0, 0.0], [2.0, 0.0])
+            triangle_metrics([0.0, 0.0], [1.0, 0.0], [2.0, 0.0])
+
+    @pytest.mark.parametrize("case", ["hemisphere", "random_2d", "random_3d"])
+    def test_frames_equal_the_own_scale_formula(self, case):
+        # Measured at unit scale and scaled back by a power of two, the
+        # frames keep every bit of the formula applied at the triangle's
+        # own scale: the opposite edges crossed with the normal, divided
+        # by twice the area for the hat gradients.
+        if case == "hemisphere":
+            corners = gen_hemisphere(HemisphereSpec.from_exponent(16, 11 / 12)).mesh.face_points()
+        else:
+            rng = np.random.default_rng(14)
+            dim = int(case[-2])
+            scales = np.exp(rng.uniform(-30, 30, size=500))
+            pts = np.array([random_triangle(rng, dim, scale=s) for s in scales])
+            corners = pts[:, 0], pts[:, 1], pts[:, 2]
+        geom = triangle_metrics(*corners)
+        v_i, v_j, v_k = (np.pad(v, ((0, 0), (0, 3 - v.shape[1]))) for v in corners)
+        opposite = np.stack([v_j - v_k, v_k - v_i, v_i - v_j], axis=-2)
+        rotated = np.cross(opposite, geom.normal[:, None, :])
+        assert np.array_equal(geom.rotated_edges, rotated)
+        assert np.array_equal(geom.hat_gradients, rotated / (2.0 * geom.area)[:, None, None])
 
 
 class TestTriMesh:
@@ -231,6 +253,18 @@ class TestTriMesh:
     def test_bad_index_rejected(self):
         with pytest.raises(InvalidTopology):
             TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 5]])
+
+    @pytest.mark.parametrize(
+        "faces", [[[0, 1]], [0, 1, 2], [[[0, 1, 2]]]], ids=["pairs", "flat", "stacked"]
+    )
+    def test_faces_not_f_by_3_rejected(self, faces):
+        with pytest.raises(InvalidTopology, match=r"^faces must have shape \(F, 3\)$"):
+            TriMesh([[0, 0], [1, 0], [0, 1]], faces)
+
+    def test_empty_face_list_is_a_mesh_without_faces(self):
+        mesh = TriMesh([[0.0, 0.0], [1.0, 0.0]], [])
+        assert mesh.faces.shape == (0, 3) and mesh.edges.shape == (0, 2)
+        assert mesh.boundary_loops() == [] and mesh.geometry.area.shape == (0,)
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(InvalidTopology):

@@ -35,14 +35,18 @@ COMMANDS = [
     ["solve", *HEMI_DENSE, "--rho", "quadrature"],
     ["solve", "--n", "256", "--r", "0.25", "--rho", "quadrature"],
     ["solve", "--n", "16", "--m", "500"],
+    ["solve", "--n", "8", "--r", "0.9", "--rho", "unit"],
+    ["solve", "--n", "8", "--r", "0.9", "--rho", "analytic"],
     ["solve", "--mesh", "{disk}"],
     ["solve", "--mesh", "{thin_l}"],
     ["bounds", *HEMI_DENSE, "--rho", "quadrature"],
     ["bounds", "--n", "8", "--r", "0.9", "--rho", "analytic"],
     ["quality", *HEMI_DENSE],
     ["quality", "--n", "8", "--m", "80"],
+    ["quality", "--mesh", "{disk}"],
     ["quality", "--mesh", "{thin_l}"],
     ["converge", "--r", "0.9166667", "--rho", "quadrature"],
+    ["converge", "--r", "0.25", "--n-list", "8,16,32", "--rho", "unit"],
     ["beltrami", "--mesh", "{belt_mesh}", "--mu", "{belt_mu}", "--boundary", "{belt_boundary}"],
     ["beltrami", "--mesh", "{disk}", "--mu", "{disk_mu}", "--boundary", "{disk_boundary}"],
 ]
@@ -97,8 +101,7 @@ def write_inputs(directory):
 
 def run(src, argv, out_dir):
     """Exit code, stdout, stderr and output files of one command."""
-    env = {k: v for k, v in os.environ.items() if k != "DISKMAP_OUTDIR"}
-    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     done = subprocess.run(
         [sys.executable, "-m", "diskmap.cli", "--out-dir", out_dir, *argv],
         cwd=out_dir.parent,
