@@ -30,7 +30,15 @@ from . import __version__
 from .beltrami import planar_vertices, read_boundary_csv, read_mu_csv, solve_beltrami
 from .bounds import build_bound_report, quality_csv, quality_report, scan_degraded_faces
 from .errors import DiskmapError, ParseError
-from .experiments import DEFAULT_N_GRID, emit_report, fit_exponent, run_sweep, sweep_workers
+from .experiments import (
+    DEFAULT_N_GRID,
+    emit_report,
+    fit_exponent,
+    hemisphere_laplacian,
+    run_sweep,
+    solve_hemisphere_case,
+    sweep_workers,
+)
 from .harmonic import disk_initial_guess, face_nearest
 from .hemisphere import HemisphereSpec, gen_hemisphere
 from .laplacian import assemble_laplacian, dirichlet_energy
@@ -112,47 +120,40 @@ def cmd_gen(args):
 
 def _load_or_generate(args, weights=None):
     """Either an OFF mesh (unit weights only), measured once to refuse a
-    degenerate face, or a generated hemisphere.
+    degenerate face, or a generated hemisphere's mesh.
 
     With ``--mesh``, a flag that only a generated hemisphere reads is
     refused rather than ignored: ``--n``, ``--m``, ``--r``, and each flag
     in `weights` (flag -> value) whose value is not None.
     """
     if args.mesh is None:
-        hemi = gen_hemisphere(_hemisphere_spec(args))
-        return hemi.mesh, hemi
+        return gen_hemisphere(_hemisphere_spec(args)).mesh
     given = {"--n": args.n, "--m": args.m, "--r": args.r, **(weights or {})}
     conflicts = [flag for flag, value in given.items() if value is not None]
     if conflicts:
         raise argparse.ArgumentTypeError(f"{conflicts[0]} does not apply to --mesh")
     mesh = _read(load_mesh, args.mesh)
     _read(lambda: mesh.geometry)  # a degenerate face is the file's fault too
-    return mesh, None
+    return mesh
 
 
 def cmd_solve(args):
-    # solve leaves --rho unset (see build_parser): --mesh takes unit
-    # weights only, and a hemisphere defaults to quadrature, order 3.
-    rho = None if args.rho == "unit" else args.rho
-    mesh, hemi = _load_or_generate(args, {f"--rho {rho}": rho, "--quad-order": args.quad_order})
-    if hemi is None:
+    if args.mesh is None:
+        spec, weights = _hemisphere_spec(args), _weight_flags(args)
+        case = solve_hemisphere_case(spec, _minimizer_options(args), *weights, args.source_face)
+        mesh, report = case.hemisphere.mesh, case.report
+    else:
+        # solve leaves --rho unset (see build_parser): --mesh takes unit
+        # weights only, and a hemisphere defaults to quadrature, order 3.
+        rho = None if args.rho == "unit" else args.rho
+        mesh = _load_or_generate(args, {f"--rho {rho}": rho, "--quad-order": args.quad_order})
         _read(require_disk, mesh)
         laplacian = assemble_laplacian(mesh, rho_mode="unit")
-        source = face_nearest(mesh, mesh.vertices.mean(axis=0))
-    else:
-        rho_mode, quad_order = _weight_flags(args)
-        laplacian = assemble_laplacian(
-            mesh,
-            rho_mode=rho_mode,
-            surface=hemi.surface,
-            param_cells=hemi.param_cells,
-            quad_order=quad_order,
-        )
-        source = face_nearest(mesh, np.array([0.0, 0.0, -1.0]))
-    if args.source_face is not None:
         source = args.source_face
-    init = disk_initial_guess(mesh, laplacian, source)
-    report = minimize(mesh, laplacian, init, _minimizer_options(args))
+        if source is None:
+            source = face_nearest(mesh, mesh.vertices.mean(axis=0))
+        init = disk_initial_guess(mesh, laplacian, source)
+        report = minimize(mesh, laplacian, init, _minimizer_options(args))
     root = _out_root(args)
     _write_vertex_map(os.path.join(root, "map.csv"), report.final_map)
     report.write_trace(os.path.join(root, "trace.csv"))
@@ -177,7 +178,7 @@ def cmd_solve(args):
 
 
 def cmd_quality(args):
-    mesh, _ = _load_or_generate(args)
+    mesh = _load_or_generate(args)
     quality = quality_report(mesh)
     flagged = scan_degraded_faces(mesh, args.short_ratio, args.near_equal)
     root = _out_root(args)
@@ -192,20 +193,11 @@ def cmd_quality(args):
 
 
 def cmd_bounds(args):
-    rho_mode, quad_order = _weight_flags(args)
+    weights = _weight_flags(args)
     hemi = gen_hemisphere(_hemisphere_spec(args))
-    mesh = hemi.mesh
-    laplacian = assemble_laplacian(
-        mesh,
-        rho_mode=rho_mode,
-        surface=hemi.surface,
-        param_cells=hemi.param_cells,
-        quad_order=quad_order,
-    )
-    reference = hemi.reference_map()
-    energy = dirichlet_energy(laplacian, reference)
+    energy = dirichlet_energy(hemisphere_laplacian(hemi, *weights), hemi.reference_map())
     report = build_bound_report(
-        mesh,
+        hemi.mesh,
         hemi.param_tris,
         hemi.bounds_config(args.cl),
         dirichlet_value=energy,

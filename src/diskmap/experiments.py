@@ -10,6 +10,7 @@ kept on the rows but never written into the deterministic outputs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import multiprocessing
@@ -76,24 +77,30 @@ class CaseResult:
     reference: np.ndarray
 
 
+def hemisphere_laplacian(hemi: HemisphereMesh, rho_mode="quadrature", quad_order=3):
+    """The Laplacian of a generated hemisphere, `rho_mode` area ratios over its chart."""
+    return assemble_laplacian(
+        hemi.mesh, rho_mode, hemi.surface, param_cells=hemi.param_cells, quad_order=quad_order
+    )
+
+
 def solve_hemisphere_case(
     spec: HemisphereSpec,
     options: MinimizerOptions | None = None,
     rho_mode: str = "quadrature",
     quad_order: int = 3,
+    source_face: int | None = None,
 ) -> CaseResult:
-    """Generate, assemble, initialize, minimize, and compare one mesh."""
+    """Generate, assemble, initialize, minimize, and compare one mesh: the
+    one solve of a generated hemisphere, which ``diskmap solve`` and each
+    :func:`run_sweep` row call.  The harmonic init's source is
+    `source_face`, by default the face nearest the south pole."""
     start = time.perf_counter()
     hemi = gen_hemisphere(spec)
     mesh = hemi.mesh
-    laplacian = assemble_laplacian(
-        mesh,
-        rho_mode=rho_mode,
-        surface=hemi.surface,
-        param_cells=hemi.param_cells,
-        quad_order=quad_order,
-    )
-    init = disk_initial_guess(mesh, laplacian, face_nearest(mesh, SOUTH_POLE))
+    laplacian = hemisphere_laplacian(hemi, rho_mode, quad_order)
+    source = face_nearest(mesh, SOUTH_POLE) if source_face is None else source_face
+    init = disk_initial_guess(mesh, laplacian, source)
     report = minimize(mesh, laplacian, init, options)
     reference = hemi.reference_map()
     aligned = normalize_map(report.final_map, reference)
@@ -242,7 +249,8 @@ def fit_exponent(rows) -> FitResult:
 
 
 def emit_report(rows, fit: FitResult | None, out_dir) -> dict[str, str]:
-    """Write the sweep CSV and plot-data files into `out_dir`.
+    """Write the sweep CSV and plot-data files into `out_dir`, and
+    ``fit.txt`` if `fit` is given (else remove one an earlier run left).
 
     Outputs are byte-stable for fixed row values: the volatile wall times
     are written to a separate timing log that is excluded from the
@@ -263,8 +271,11 @@ def emit_report(rows, fit: FitResult | None, out_dir) -> dict[str, str]:
     table("error", "error_vs_h.dat", ["h", "rel_error"])
     table("energy", "energy_vs_h.dat", ["h", "energy_solution", "energy_reference"])
 
-    if fit is not None:
-        fit_path = os.path.join(out_dir, "fit.txt")
+    fit_path = os.path.join(out_dir, "fit.txt")
+    if fit is None:  # a previous run's fit does not describe these rows
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(fit_path)
+    else:
         with open(fit_path, "w", encoding="utf-8") as fh:
             fh.write(
                 f"exponent {fit.exponent:.17g}\ncoefficient {fit.coefficient:.17g}\n"

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from diskmap import HemisphereSpec, TriMesh, gen_hemisphere, load_mesh, save_mesh
 from diskmap.cli import _write_vertex_map, main
+from diskmap.experiments import solve_hemisphere_case
 
 from conftest import annulus_mesh, planar_disk_mesh, splu_singular_from_call, thin_l_mesh
 
@@ -166,6 +167,25 @@ class TestSolve:
         assert run(["--out-dir", str(tmp_path), *args]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
         assert not list(tmp_path.iterdir())
+
+    def test_minimizer_flag_reported_before_a_source_or_weight_flag(self, tmp_path, capsys):
+        # the minimizer options are checked before the hemisphere is solved
+        solve = ["solve", "--n", "8", "--r", "0.9", "--quad-order", "0", "--source-face", "-1"]
+        assert run(["--out-dir", str(tmp_path), *solve, "--grad-tol", "nan"]) == 2
+        assert capsys.readouterr().err == (
+            "error: gradient_tolerance must be finite and positive, got nan\n"
+        )
+
+    @pytest.mark.parametrize("source_face", [None, 5], ids=["default", "face-5"])
+    def test_hemisphere_map_is_the_case_solve(self, tmp_path, source_face):
+        # diskmap solve on a generated hemisphere is one converge row's solve
+        flags = [] if source_face is None else ["--source-face", str(source_face)]
+        solve = ["solve", "--n", "8", "--r", "0.9166667", *flags]
+        assert run(["--out-dir", str(tmp_path), *solve]) == 0
+        written = np.loadtxt(tmp_path / "map.csv", delimiter=",", skiprows=1, usecols=(1, 2))
+        spec = HemisphereSpec.from_exponent(8, 0.9166667)
+        case = solve_hemisphere_case(spec, source_face=source_face)
+        assert np.array_equal(written, case.report.final_map)
 
     def test_map_csv_bytes(self, tmp_path):
         values = np.array([[-0.0, 5e-324], [1e300, 3.0]])
@@ -360,6 +380,15 @@ class TestConverge:
         assert code == 0
         (run_dir,) = tmp_path.glob("sweep_*")
         assert (run_dir / "sweep.csv").exists()
+        assert not (run_dir / "fit.txt").exists()
+
+    def test_rerun_without_a_fit_removes_the_old_fit(self, tmp_path):
+        out = ["--out-dir", str(tmp_path), "converge", "--r", "0.9", "--n-list"]
+        assert run([*out, "8,16,32"]) == 0
+        (run_dir,) = tmp_path.glob("sweep_*")
+        assert "rows_used 3\n" in (run_dir / "fit.txt").read_text()
+        assert run([*out, "8,32"]) == 0  # two rows: too few to fit
+        assert len((run_dir / "sweep.csv").read_text().splitlines()) == 3
         assert not (run_dir / "fit.txt").exists()
 
     def test_deterministic_outputs(self, tmp_path):

@@ -37,10 +37,13 @@ COMMANDS = [
     ["solve", "--n", "16", "--m", "500"],
     ["solve", "--n", "8", "--r", "0.9", "--rho", "unit"],
     ["solve", "--n", "8", "--r", "0.9", "--rho", "analytic"],
+    ["solve", "--n", "8", "--r", "0.9", "--source-face", "5"],
+    ["solve", "--n", "8", "--r", "0.9", "--grad-tol", "1e-8", "--max-iterations", "60"],
     ["solve", "--mesh", "{disk}"],
     ["solve", "--mesh", "{thin_l}"],
     ["bounds", *HEMI_DENSE, "--rho", "quadrature"],
     ["bounds", "--n", "8", "--r", "0.9", "--rho", "analytic"],
+    ["bounds", "--n", "8", "--r", "0.9", "--rho", "unit"],
     ["quality", *HEMI_DENSE],
     ["quality", "--n", "8", "--m", "80"],
     ["quality", "--mesh", "{disk}"],
