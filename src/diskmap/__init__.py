@@ -17,10 +17,7 @@ from .bounds import (
     build_bound_report,
     centered_pinv_norm,
     dirichlet_error_bound,
-    eigen_min_scan,
-    estimate_map_grad_lipschitz,
     gradient_error_terms,
-    gradient_error_terms_reduced,
     integrated_error_bound,
     plane_distance_bound,
     quality_report,
@@ -62,7 +59,6 @@ from .hemisphere import (
     HemisphereSpec,
     gen_hemisphere,
     spherical_patch_area,
-    stereographic_dirichlet_energy,
     stereographic_gradient,
     stereographic_project,
 )
@@ -78,8 +74,6 @@ from .laplacian import (
     face_area_ratios,
     face_image_areas,
     mapped_area,
-    per_triangle_dirichlet,
-    per_triangle_dirichlet_matrix,
 )
 from .mesh import (
     TriangleGeom,

@@ -36,6 +36,8 @@ from .mesh import (
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _ADMISSIBLE_FLOOR = 1e-12
+# A 3-d mesh is planar when every |z| is at most this times its xy extent.
+_PLANAR_TOL = 1e-12
 
 
 def admissible_denominator(mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
@@ -127,14 +129,18 @@ def face_weights(v_i, v_j, v_k, mu1, mu2) -> np.ndarray:
 
 def planar_vertices(mesh: TriMesh) -> np.ndarray:
     """The (N, 2) vertices of a 2-d mesh, or of a 3-d one with all |z| <=
-    1e-12 (else ``DimensionMismatch``), whose faces share one orientation
-    sign and use every vertex (else ``InvalidTopology``)."""
+    1e-12 times its xy extent, the larger side of its xy bounding box
+    (else ``DimensionMismatch``), whose faces share one orientation sign
+    and use every vertex (else ``InvalidTopology``).  The test does not
+    depend on the mesh's scale."""
     unused = np.bincount(mesh.faces.ravel(), minlength=mesh.num_vertices) == 0
     if unused.any():
         raise InvalidTopology(f"vertex {int(np.argmax(unused))} is in no face")
     v = mesh.vertices
-    if v.shape[1] == 3 and np.allclose(v[:, 2], 0.0, atol=1e-12):
-        v = v[:, :2]
+    if v.shape[1] == 3:
+        extent = np.ptp(v[:, :2], axis=0).max()
+        if np.all(np.abs(v[:, 2]) <= _PLANAR_TOL * extent):
+            v = v[:, :2]
     if v.shape[1] != 2:
         raise DimensionMismatch("beltrami solver needs a planar mesh")
     check_planar_orientation(v, mesh.faces)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateTriangle, DimensionMismatch
-from .mesh import TriMesh, dot, first_offender, signed_double_area, triangle_metrics, write_rows
+from .mesh import TriMesh, first_offender, signed_double_area, triangle_metrics, write_rows
 
 
 @dataclass(frozen=True)
@@ -122,27 +122,6 @@ def gradient_error_terms(
     return factor, offset
 
 
-def gradient_error_terms_reduced(
-    config: BoundsConfig,
-    diam_face: float,
-    sin_min_angle_face: float,
-    diam_param: float,
-    sin_min_angle_param: float,
-) -> tuple[float, float]:
-    """Shape-ratio form of the gradient error terms.
-
-    Uses only the diameter-to-smallest-angle-sine ratios of the face and
-    its parameter triangle; dominates :func:`gradient_error_terms` when
-    the chart is uniformly non-degenerate over the face.
-    """
-    ratio_face = diam_face / sin_min_angle_face
-    ratio_param = diam_param / sin_min_angle_param
-    c, s = config.grad_lipschitz, config.sigma_min
-    factor = 12.0 * c / s**2 * ratio_face + (12.0 * c / s * ratio_param) ** 2
-    offset = 6.0 * config.map_grad_lipschitz * config.sigma_max**2 / s**2 * ratio_face
-    return factor, offset
-
-
 def dirichlet_error_bound(dirichlet_value: float, int_sq_error: float) -> float:
     """Bound on |continuous - discretized| Dirichlet energy.
 
@@ -164,80 +143,6 @@ def integrated_error_bound(
         math.sqrt(max(dirichlet_value, 0.0)) * factor_max
         + math.sqrt(0.5 * config.total_area) * offset_max
     ) ** 2
-
-
-@dataclass(frozen=True)
-class EigenScanReport:
-    """Grid check that centering at the column mean minimizes each
-    eigenvalue of the centered Gram matrix.
-
-    ``cell_distances`` holds, per eigenvalue, the grid distance (in cells)
-    between a grid minimizer and the column mean (meaningful when the
-    minimizer is unique); ``grid_minima`` and ``values_at_mean`` compare
-    the scanned minimum against the value attained at the mean, which is
-    the tie-robust statement.  ``value_mismatch`` compares the values at
-    the mean against the eigenvalues of C C^T - n_cols * mean mean^T.
-    """
-
-    cell_distances: np.ndarray
-    grid_minima: np.ndarray
-    values_at_mean: np.ndarray
-    value_mismatch: float
-
-
-def eigen_min_scan(columns, grid_resolution: int = 101) -> EigenScanReport:
-    """Scan eigenvalues of (C - x 1^T)(C - x 1^T)^T over a grid of x.
-
-    `columns` is 2 x k.  The grid covers a square box around the column
-    mean whose half width is twice the largest distance of a column from
-    the mean (1 when all columns coincide).  Both eigenvalues of the
-    2 x 2 matrix are tracked.
-    """
-    c = np.asarray(columns, dtype=float)
-    if c.ndim != 2 or c.shape[0] != 2:
-        raise ValueError("columns must be a 2 x k array")
-    k = c.shape[1]
-    mean = c.mean(axis=1)
-    half_width = 2.0 * float(np.linalg.norm(c - mean[:, None], axis=0).max())
-    if half_width == 0.0:
-        half_width = 1.0
-    xs = np.linspace(mean[0] - half_width, mean[0] + half_width, grid_resolution)
-    ys = np.linspace(mean[1] - half_width, mean[1] + half_width, grid_resolution)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-
-    s = c.sum(axis=1)
-
-    def eigenvalues(x, y):
-        """Both eigenvalues of B at the point or points (x, y), smaller first."""
-        b11 = float(c[0] @ c[0]) - 2 * x * s[0] + k * x**2
-        b22 = float(c[1] @ c[1]) - 2 * y * s[1] + k * y**2
-        b12 = float(c[0] @ c[1]) - x * s[1] - y * s[0] + k * x * y
-        half_tr = 0.5 * (b11 + b22)
-        disc = np.sqrt(np.maximum(0.25 * (b11 - b22) ** 2 + b12**2, 0.0))
-        return [half_tr - disc, half_tr + disc]
-
-    lams = eigenvalues(gx, gy)
-
-    step = xs[1] - xs[0]
-    cells = np.empty(2)
-    grid_minima = np.empty(2)
-    for ell, lam in enumerate(lams):
-        flat = int(np.argmin(lam))
-        ii, jj = np.unravel_index(flat, lam.shape)
-        cells[ell] = max(abs(xs[ii] - mean[0]), abs(ys[jj] - mean[1])) / step
-        grid_minima[ell] = float(lam[ii, jj])
-
-    ref = c @ c.T - k * np.outer(mean, mean)
-    ref_vals = np.sort(np.linalg.eigvalsh(ref))
-    at_mean = np.array(eigenvalues(*mean))
-    mismatch = float(np.max(np.abs(at_mean - ref_vals)))
-
-    return EigenScanReport(
-        cell_distances=cells,
-        grid_minima=grid_minima,
-        values_at_mean=at_mean,
-        value_mismatch=mismatch,
-    )
 
 
 @dataclass(frozen=True)
@@ -278,12 +183,6 @@ def quality_report(mesh: TriMesh) -> TriangleQuality:
         diam_over_sin=geom.diameter / np.sin(min_angle),
         diam_over_inradius=geom.diameter / geom.inradius,
     )
-
-
-def is_strictly_decreasing(values) -> bool:
-    """Trend flag for a family of quality maxima."""
-    values = np.asarray(values, dtype=float)
-    return bool(np.all(np.diff(values) < 0))
 
 
 def scan_degraded_faces(
@@ -411,22 +310,6 @@ def build_bound_report(
         offset_max=offset_max,
         energy_error=energy_err,
     )
-
-
-def estimate_map_grad_lipschitz(mesh: TriMesh, grad_at_vertex) -> float:
-    """Edge-sampled Lipschitz estimate of a map's tangential gradient.
-
-    ``grad_at_vertex`` maps a vertex index to the gradient matrix there;
-    the estimate is the max over mesh edges of the gradient difference
-    over the edge length.  A sampled estimate, not a certified bound.
-    """
-    grads = np.array([grad_at_vertex(i) for i in range(mesh.num_vertices)], dtype=float)
-    grads = grads.reshape(mesh.num_vertices, -1)  # Frobenius norm = flat 2-norm
-    a, b = mesh.edges[:, 0], mesh.edges[:, 1]
-    diff, edge = grads[a] - grads[b], mesh.vertices[a] - mesh.vertices[b]
-    gap, length = np.sqrt(dot(diff, diff)), np.sqrt(dot(edge, edge))
-    ratio = gap[length > 0] / length[length > 0]
-    return float(ratio.max(initial=0.0))
 
 
 def quality_csv(quality: TriangleQuality, path, flagged=()):

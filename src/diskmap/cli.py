@@ -230,10 +230,14 @@ def cmd_converge(args):
         fit = fit_exponent(rows)
     except DiskmapError:
         pass
-    root = _out_root(args)
+    # The run directory is named by every input that shapes the rows, the
+    # floats as their round-tripping repr, so two runs share a directory
+    # exactly when their inputs are equal.
+    weights = rho_mode + (str(quad_order) if rho_mode == "quadrature" else "")
     run_dir = os.path.join(
-        root,
-        f"sweep_r{args.r:g}_n{args.n_list[0]}-{args.n_list[-1]}_{args.rho}",
+        _out_root(args),
+        f"sweep_r{args.r!r}_n{'-'.join(map(str, args.n_list))}_{weights}"
+        f"_tol{args.grad_tol!r}_it{args.max_iterations}",
     )
     paths = emit_report(rows, fit, run_dir)
     with open(paths["timing"], "a", encoding="utf-8") as fh:

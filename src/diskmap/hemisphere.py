@@ -139,24 +139,6 @@ def _radial_stereographic_jacobian(x) -> np.ndarray:
     return ds @ dpi
 
 
-def stereographic_dirichlet_energy(n_phi: int = 64, n_psi: int = 64) -> float:
-    """Dirichlet energy of the stereographic map over the hemisphere.
-
-    Tensor Gauss-Legendre quadrature of 0.5 * |tangential gradient|_F^2
-    times the area element over the chart rectangle.  Converges to the
-    flattened image area (the map is conformal onto the unit disk).
-    """
-    xg, wg = np.polynomial.legendre.leggauss(n_phi)
-    yg, vg = np.polynomial.legendre.leggauss(n_psi)
-    phis = math.pi * (xg + 1.0)                   # [0, 2pi]
-    psis = 0.25 * math.pi * (yg + 1.0) + 0.5 * math.pi  # [pi/2, pi]
-    w = np.stack(np.meshgrid(phis, psis, indexing="ij"), axis=-1)
-    grad = stereographic_gradient(w)
-    elt = np.sin(w[..., 1])                       # sphere area element
-    integrand = np.outer(wg, vg) * 0.5 * np.sum(grad * grad, axis=(-2, -1)) * elt
-    return float(np.sum(integrand)) * math.pi * 0.25 * math.pi
-
-
 @dataclass(frozen=True)
 class HemisphereSpec:
     """Resolution of the structured hemisphere mesh.

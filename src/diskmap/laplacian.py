@@ -18,7 +18,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NonFiniteWeight, SingularSystem, SolverFailure
-from .mesh import TriangleGeom, TriMesh, triangle_metrics
+from .mesh import TriMesh
+# Unused here; perfbench/tracer.py hooks diskmap.laplacian.triangle_metrics
+# by name, so the name must resolve.
+from .mesh import triangle_metrics  # noqa: F401
 from .surface import ParamSurface, patch_area_quadrature
 
 
@@ -156,35 +159,6 @@ def dirichlet_energy(laplacian: CotanLaplacian, f) -> float:
     return 0.5 * float(np.sum(f * (laplacian.matrix @ f)))
 
 
-def per_triangle_dirichlet(f_i, f_j, f_k, geom: TriangleGeom, rho: float = 1.0) -> float:
-    """Per-face Dirichlet form (rho / 2) sum_edges |df|^2 cot(opposite).
-
-    Equals rho * area * |gradient|_F^2 of the linear interpolant; the
-    mesh energy is half the sum of these over all faces.
-    """
-    f_i = np.asarray(f_i, float)
-    f_j = np.asarray(f_j, float)
-    f_k = np.asarray(f_k, float)
-    sq = lambda a: float(a @ a)  # noqa: E731
-    return 0.5 * rho * (
-        sq(f_i - f_j) * geom.cotangents[2]
-        + sq(f_j - f_k) * geom.cotangents[0]
-        + sq(f_k - f_i) * geom.cotangents[1]
-    )
-
-
-def per_triangle_dirichlet_matrix(f_i, f_j, f_k, v_i, v_j, v_k, rho: float = 1.0) -> float:
-    """Matrix form of the per-face Dirichlet form.
-
-    (rho / (4 A)) |[f_i f_j f_k] [s_i s_j s_k]^T|_F^2 with the rotated
-    edges s; agrees with :func:`per_triangle_dirichlet` to rounding.
-    """
-    geom = triangle_metrics(v_i, v_j, v_k)
-    fmat = np.column_stack([f_i, f_j, f_k]).astype(float)
-    m = fmat @ geom.rotated_edges
-    return float(np.sum(m * m)) * rho / (4.0 * geom.area)
-
-
 def mapped_area(mesh: TriMesh, f) -> float:
     """Signed area of the planar image, summed per face.
 
@@ -252,11 +226,11 @@ class ConformalEnergy:
     the boundary operator P of :func:`_ring_sum_operator`.  The mapped
     area is A(f) = 0.25 <f, rot90(P f)> and the per-vertex gradient is
     L f - 0.5 rot90(P f), whose area part is zero at interior vertices.
-    :meth:`evaluate` forms L f and P f with one product, each row summed
-    as in L or P alone, and keeps them; the call and :meth:`gradient` read
-    their parts of it.  All three take a finite (V, 2) float map and do
-    not check it; :func:`conformal_energy` and :func:`energy_gradient`
-    validate their input first.
+    :meth:`evaluate`, its one entry point, forms L f and P f with one
+    product, each row summed as in L or P alone, and keeps them in the
+    :class:`EnergyEvaluation` it returns.  It takes a finite (V, 2) float
+    map and does not check it; :func:`conformal_energy` and
+    :func:`energy_gradient` validate their input first.
     """
 
     def __init__(self, mesh: TriMesh, laplacian: CotanLaplacian):
@@ -272,18 +246,14 @@ class ConformalEnergy:
         )
         return EnergyEvaluation(energy=energy, lf=lf, pf=pf)
 
-    def __call__(self, f: np.ndarray) -> EnergyBreakdown:
-        return self.evaluate(f).energy
-
-    def gradient(self, f: np.ndarray) -> np.ndarray:
-        return self.evaluate(f).gradient()
-
 
 def conformal_energy(mesh: TriMesh, laplacian: CotanLaplacian, f) -> EnergyBreakdown:
     """Energy breakdown of a planar vertex map."""
-    return ConformalEnergy(mesh, laplacian)(as_vertex_map(f, mesh.num_vertices))
+    f = as_vertex_map(f, mesh.num_vertices)
+    return ConformalEnergy(mesh, laplacian).evaluate(f).energy
 
 
 def energy_gradient(mesh: TriMesh, laplacian: CotanLaplacian, f) -> np.ndarray:
     """Per-vertex gradient of the conformal energy (Dirichlet minus area)."""
-    return ConformalEnergy(mesh, laplacian).gradient(as_vertex_map(f, mesh.num_vertices))
+    f = as_vertex_map(f, mesh.num_vertices)
+    return ConformalEnergy(mesh, laplacian).evaluate(f).gradient()

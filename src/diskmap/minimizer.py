@@ -9,7 +9,8 @@ preconditioned by a factorization of the interior block of the Laplacian
 interior Hessian), made by :func:`~diskmap.laplacian.factorize`.
 Accepted iterates strictly lower the energy, which is evaluated by
 :meth:`~diskmap.laplacian.ConformalEnergy.evaluate`; the gradient of an
-accepted step is formed from the products of its trial evaluation.
+accepted step is :meth:`~diskmap.laplacian.EnergyEvaluation.gradient` of
+its trial evaluation.
 
 Every dot product and norm of the reduced vectors goes through
 :func:`_dot`, which sums blocks short enough for OpenBLAS to keep on
@@ -204,14 +205,13 @@ def minimize(
         return f, theta
 
     def reduce(point, theta):
-        """The gradient L f - 0.5 rot90(P f) of an evaluation in the reduced
-        variables: L f at the interior coordinates, where P f is 0, then
-        each boundary vertex's component along the tangent
-        (-sin theta, cos theta)."""
+        """The gradient of an evaluation in the reduced variables: its
+        interior coordinates, then each boundary vertex's component along
+        the tangent (-sin theta, cos theta)."""
+        grad = point.gradient()
         out = np.empty(n_flat + len(theta))
-        np.take(point.lf.reshape(-1), flat, out=out[:n_flat])
-        lf, pf = point.lf[boundary], point.pf[boundary]
-        gx, gy = lf[:, 0] - 0.5 * pf[:, 1], lf[:, 1] + 0.5 * pf[:, 0]
+        np.take(grad.reshape(-1), flat, out=out[:n_flat])
+        gx, gy = grad[boundary].T
         out[n_flat:] = gy * np.cos(theta) - gx * np.sin(theta)
         return out
 

@@ -37,14 +37,10 @@ from diskmap import (
     conformal_energy,
     dirac_source,
     dirichlet_energy,
-    eigen_min_scan,
     energy_gradient,
-    estimate_map_grad_lipschitz,
     face_nearest,
     fit_exponent,
     gen_hemisphere,
-    per_triangle_dirichlet,
-    per_triangle_dirichlet_matrix,
     quality_report,
     run_sweep,
     solve_beltrami,
@@ -56,12 +52,18 @@ from diskmap import (
 from diskmap.hemisphere import (
     sphere_gradient,
     sphere_point,
-    stereographic_dirichlet_energy,
     stereographic_gradient,
 )
-from diskmap.bounds import is_strictly_decreasing
 
 from conftest import planar_disk_mesh, random_triangle
+from oracles import (
+    eigen_min_scan,
+    estimate_map_grad_lipschitz,
+    is_strictly_decreasing,
+    per_triangle_dirichlet,
+    per_triangle_dirichlet_matrix,
+    stereographic_dirichlet_energy,
+)
 
 SOUTH = np.array([0.0, 0.0, -1.0])
 

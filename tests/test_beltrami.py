@@ -250,6 +250,31 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             assemble_beltrami(mesh, BeltramiCoefficient.zero(2))
 
+    @staticmethod
+    def _lifted_disk(height, scale):
+        """planar_disk_mesh(6, 9), radius 1, as a dome of the given height
+        over its xy points, and the flat disk; both scaled by `scale`."""
+        flat = planar_disk_mesh(6, 9)
+        xy = flat.vertices[:, :2]
+        z = height * (1.0 - np.sum(xy * xy, axis=1))
+        lifted = TriMesh(scale * np.column_stack([xy, z]), flat.faces)
+        return lifted, TriMesh(scale * xy, flat.faces)
+
+    def test_tiny_nonplanar_mesh_rejected(self):
+        # |z| reaches 0.3 of the radius; at scale 1e-13 every |z| is
+        # below 1e-12, which says nothing about planarity
+        lifted, _ = self._lifted_disk(0.3, 1e-13)
+        with pytest.raises(DimensionMismatch, match="needs a planar mesh"):
+            assemble_beltrami(lifted, BeltramiCoefficient.zero(lifted.num_faces))
+
+    def test_large_planar_mesh_accepted(self):
+        # planar to 1e-16 of the radius; at scale 1e5 some |z| exceed 1e-12
+        lifted, flat = self._lifted_disk(1e-16, 1e5)
+        assert np.abs(lifted.vertices[:, 2]).max() > 1e-12
+        mu = BeltramiCoefficient.zero(lifted.num_faces)
+        got, expected = assemble_beltrami(lifted, mu), assemble_beltrami(flat, mu)
+        assert np.array_equal(got.toarray(), expected.toarray())
+
 
     def test_folded_mesh_rejected_in_2d_and_at_z_0(self):
         # one of the four fan faces around (1.5, 0.5) is reversed

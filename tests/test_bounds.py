@@ -15,11 +15,8 @@ from diskmap import (
     centered_pinv_norm,
     dirichlet_energy,
     dirichlet_error_bound,
-    eigen_min_scan,
-    estimate_map_grad_lipschitz,
     gen_hemisphere,
     gradient_error_terms,
-    gradient_error_terms_reduced,
     integrated_error_bound,
     plane_distance_bound,
     quality_report,
@@ -27,16 +24,22 @@ from diskmap import (
     tangent_tilt_bound,
     triangle_metrics,
 )
-from diskmap.bounds import is_strictly_decreasing, quality_csv
+from diskmap.bounds import quality_csv
 from diskmap.hemisphere import (
     sphere_gradient,
     sphere_point,
-    stereographic_dirichlet_energy,
     stereographic_gradient,
     stereographic_project,
 )
 
 from conftest import random_triangle
+from oracles import (
+    eigen_min_scan,
+    estimate_map_grad_lipschitz,
+    gradient_error_terms_reduced,
+    is_strictly_decreasing,
+    stereographic_dirichlet_energy,
+)
 
 FLAT = BoundsConfig(
     grad_lipschitz=0.0,

@@ -385,11 +385,33 @@ class TestConverge:
     def test_rerun_without_a_fit_removes_the_old_fit(self, tmp_path):
         out = ["--out-dir", str(tmp_path), "converge", "--r", "0.9", "--n-list"]
         assert run([*out, "8,16,32"]) == 0
-        (run_dir,) = tmp_path.glob("sweep_*")
-        assert "rows_used 3\n" in (run_dir / "fit.txt").read_text()
+        (fit_dir,) = tmp_path.glob("sweep_*")
+        stale = (fit_dir / "fit.txt").read_text()
+        assert "rows_used 3\n" in stale
         assert run([*out, "8,32"]) == 0  # two rows: too few to fit
+        (run_dir,) = set(tmp_path.glob("sweep_*")) - {fit_dir}
+        (run_dir / "fit.txt").write_text(stale)  # as if an earlier run left it
+        assert run([*out, "8,32"]) == 0
         assert len((run_dir / "sweep.csv").read_text().splitlines()) == 3
         assert not (run_dir / "fit.txt").exists()
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (["--quad-order", "2"], ["--quad-order", "3"]),
+            (["--n-list", "4,5,6"], ["--n-list", "4,6"]),
+            (["--r", "0.9166667"], ["--r", "0.91666671"]),
+            (["--grad-tol", "2e-5"], ["--grad-tol", "1e-5"]),
+            (["--max-iterations", "60"], ["--max-iterations", "2000"]),
+        ],
+        ids=["quad_order", "middle_n", "r_digits", "grad_tol", "max_iterations"],
+    )
+    def test_different_inputs_write_different_directories(self, tmp_path, first, second):
+        out = ["--out-dir", str(tmp_path), "converge", "--r", "0.9166667", "--n-list", "4,6"]
+        out += ["--grad-tol", "1e-5"]
+        assert run([*out, *first]) == 0
+        assert run([*out, *second]) == 0
+        assert len(list(tmp_path.glob("sweep_*/sweep.csv"))) == 2
 
     def test_deterministic_outputs(self, tmp_path):
         blobs = []

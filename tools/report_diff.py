@@ -9,10 +9,12 @@ OpenBLAS thread, against that tree and against the working tree's
 tree: two planar meshes from ``tests/conftest.py`` saved as OFF, a seeded
 |mu| <= 0.5 ``mu.csv`` and the disk mesh's own boundary as
 ``boundary.csv``, and the Beltrami inputs of ``perfbench/checks.py`` for
-the n = 96 hemisphere, seed 1.  For each command it compares the exit
-codes, stdout and stderr (with the output directory replaced by
-``<out>``) and every output file but ``timing.log``.  It prints each difference and exits 1 if there is
-any, else 0.  The temporary files are removed on exit.
+the n = 96 hemisphere, seed 1.  A command names its side's output
+directory as ``{out}`` (``gen --out {out}/hemisphere.off``).  For each
+command it compares the exit codes, stdout and stderr (with the output
+directory replaced by ``<out>``) and every output file but
+``timing.log``.  It prints each difference and exits 1 if there is any,
+else 0.  The temporary files are removed on exit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HEMI_DENSE = ["--n", "96", "--r", "0.9166667"]
 
 COMMANDS = [
+    ["gen", "--n", "8", "--r", "0.9", "--out", "{out}/hemisphere.off"],
     ["solve", *HEMI_DENSE, "--rho", "quadrature"],
     ["solve", "--n", "256", "--r", "0.25", "--rho", "quadrature"],
     ["solve", "--n", "16", "--m", "500"],
@@ -149,12 +152,12 @@ def main(argv=None):
         inputs = write_inputs(tmp / "inputs")
         total = 0
         for k, command in enumerate(COMMANDS):
-            argv = [a.format(**inputs) for a in command]
             label = " ".join(command)
             results = []
             for side, src in (("old", tmp / "old" / "src"), ("new", ROOT / "src")):
                 out_dir = tmp / side / "runs" / str(k)
                 out_dir.mkdir(parents=True)
+                argv = [a.format(**inputs, out=out_dir) for a in command]
                 results.append(run(src, argv, out_dir))
             found = differences(*results)
             total += len(found)
