@@ -4,7 +4,6 @@ with computable error bounds and triangulation-quality diagnostics."""
 __version__ = "0.1.0"
 
 from .beltrami import (
-    BeltramiCoefficient,
     assemble_beltrami,
     beltrami_matrix,
     face_weights,

@@ -11,28 +11,12 @@ belongs to vertex ``mesh.interior_vertices()[r]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (
-    DegenerateCoefficient,
-    DegenerateTriangle,
-    DimensionMismatch,
-    InvalidTopology,
-    NonFiniteVertex,
-)
+from .errors import DegenerateCoefficient, DimensionMismatch, InvalidTopology, NonFiniteVertex
 from .laplacian import solve_checked
-from .mesh import (
-    TriMesh,
-    _binary_exponent,
-    check_planar_orientation,
-    data_lines,
-    dot,
-    first_offender,
-    read_rows,
-)
+from .mesh import TriMesh, data_lines, first_offender, measure_planar_faces, read_rows
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _ADMISSIBLE_FLOOR = 1e-12
@@ -54,40 +38,18 @@ def admissible_denominator(mu1: np.ndarray, mu2: np.ndarray) -> np.ndarray:
     return denom
 
 
-@dataclass(frozen=True)
-class BeltramiCoefficient:
-    """Per-face coefficient pair, finite and with 1 - mu1^2 - mu2^2 >=
-    1e-12 (:func:`admissible_denominator`)."""
-
-    mu1: np.ndarray
-    mu2: np.ndarray
-
-    def __post_init__(self):
-        m1 = np.asarray(self.mu1, dtype=float)
-        m2 = np.asarray(self.mu2, dtype=float)
-        if m1.shape != m2.shape:
-            raise DimensionMismatch("mu1 and mu2 must have matching shapes")
-        admissible_denominator(m1, m2)
-        object.__setattr__(self, "mu1", m1)
-        object.__setattr__(self, "mu2", m2)
-
-    @classmethod
-    def zero(cls, num_faces: int) -> "BeltramiCoefficient":
-        return cls(np.zeros(num_faces), np.zeros(num_faces))
-
-    def __len__(self):
-        return len(self.mu1)
-
-
 def beltrami_matrix(mu1, mu2) -> np.ndarray:
     """The 2 x 2 derivative-coupling matrix of the coefficient (mu1, mu2).
 
     B = [[2 mu2, (1 - mu1)^2 + mu2^2], [-(1 + mu1)^2 - mu2^2, -2 mu2]]
     divided by 1 - mu1^2 - mu2^2 (:func:`admissible_denominator`).
     Trace-free with B^2 = -I; at mu = 0 it is the quarter-turn rotation.
-    Stacked coefficients (*S,) give stacked matrices (*S, 2, 2).
+    Stacked coefficients (*S,) give stacked matrices (*S, 2, 2); mu1 and
+    mu2 must have one shape (else ``DimensionMismatch``).
     """
     mu1, mu2 = np.asarray(mu1, dtype=float), np.asarray(mu2, dtype=float)
+    if mu1.shape != mu2.shape:
+        raise DimensionMismatch("mu1 and mu2 must have matching shapes")
     denom = admissible_denominator(mu1, mu2)
     rows = [
         [2.0 * mu2, (1.0 - mu1) ** 2 + mu2**2],
@@ -97,42 +59,34 @@ def beltrami_matrix(mu1, mu2) -> np.ndarray:
     return b / denom[..., None, None]
 
 
-def face_weights(v_i, v_j, v_k, mu1, mu2) -> np.ndarray:
-    """Contributions of one planar face to its first corner's row.
+def face_weights(edges, double_area, mu) -> np.ndarray:
+    """The 3 x 3 block each planar face adds to the rows of its corners.
 
-    Returns (w_to_i, w_to_j, w_to_k): the coefficients the face adds to
-    the row of vertex i for the unknowns g_i, g_j, g_k, namely
-    e_opp^T ehat / (4 A) with e_opp the edge opposite each corner and
-    ehat the transformed opposite edge of the row corner.  They sum to
-    zero by construction.  Stacked corners (*S, 2) and coefficients
-    (*S,) give the contributions of every face, (*S, 3).  The weights do
-    not depend on the face's scale, and each face is measured at unit
-    scale: its edges are divided by the power of two of their largest
-    coordinate, exactly, so no product leaves double range.
+    `edges` (*S, 3, 2) are the edges e_i, e_j, e_k opposite the face's
+    corners and `double_area` (*S,) twice its signed area A, as
+    :func:`~diskmap.mesh.measure_planar_faces` gives them; `mu` (*S, 2)
+    is the face's coefficient pair.  Row a of a block (*S, 3, 3) is the
+    row of corner a: e_l^T (-J B e_a) / (4 A) for the columns l = i, j,
+    k, with B the :func:`beltrami_matrix` and J the quarter turn
+    [[0, 1], [-1, 0]].  Each row sums to zero by construction, and the
+    weights do not depend on the face's scale.
     """
-    v_i = np.asarray(v_i, dtype=float)[..., :2]
-    v_j = np.asarray(v_j, dtype=float)[..., :2]
-    v_k = np.asarray(v_k, dtype=float)[..., :2]
-    edges = (v_j - v_k, v_k - v_i, v_i - v_j)
-    exponent = _binary_exponent(*edges)[..., None]
-    vjk, vki, vij = (np.ldexp(d, -exponent) for d in edges)
-    area2 = vij[..., 0] * vjk[..., 1] - vij[..., 1] * vjk[..., 0]  # 2 * signed area
-    if (area2 == 0.0).any():
-        where, _ = first_offender(area2 == 0.0)
-        raise DegenerateTriangle(f"{where}degenerate planar face")
-    b = beltrami_matrix(mu1, mu2)
-    vhat = -(_J @ b @ vjk[..., None])[..., 0]
+    mu = np.asarray(mu, dtype=float)
+    turn = -(_J @ beltrami_matrix(mu[..., 0], mu[..., 1]))
+    hats = edges @ np.swapaxes(turn, -1, -2)  # row a: -J B e_a
     # Factor 1/2: each interior edge collects one such term from each of
     # its two faces.
-    return np.stack([dot(e, vhat) for e in (vjk, vki, vij)], axis=-1) / (2.0 * area2[..., None])
+    return hats @ np.swapaxes(edges, -1, -2) / (2.0 * double_area[..., None, None])
 
 
-def planar_vertices(mesh: TriMesh) -> np.ndarray:
-    """The (N, 2) vertices of a 2-d mesh, or of a 3-d one with all |z| <=
-    1e-12 times its xy extent, the larger side of its xy bounding box
-    (else ``DimensionMismatch``), whose faces share one orientation sign
-    and use every vertex (else ``InvalidTopology``).  The test does not
-    depend on the mesh's scale."""
+def planar_faces(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~diskmap.mesh.measure_planar_faces` of a planar mesh: a 2-d
+    one, or a 3-d one with all |z| <= 1e-12 times its xy extent, the
+    larger side of its xy bounding box (else ``DimensionMismatch``).  Its
+    faces must use every vertex (else ``InvalidTopology``), each keep
+    the area :func:`~diskmap.mesh.triangle_metrics` requires (else
+    ``DegenerateTriangle``) and all share one orientation sign (else
+    ``InvalidTopology``).  The tests do not depend on the mesh's scale."""
     unused = np.bincount(mesh.faces.ravel(), minlength=mesh.num_vertices) == 0
     if unused.any():
         raise InvalidTopology(f"vertex {int(np.argmax(unused))} is in no face")
@@ -143,37 +97,40 @@ def planar_vertices(mesh: TriMesh) -> np.ndarray:
             v = v[:, :2]
     if v.shape[1] != 2:
         raise DimensionMismatch("beltrami solver needs a planar mesh")
-    check_planar_orientation(v, mesh.faces)
-    return v
+    return measure_planar_faces(v, mesh.faces, check_area=True)
 
 
-def assemble_beltrami(mesh: TriMesh, mu: BeltramiCoefficient) -> sp.csr_matrix:
-    """Assemble one constraint row per interior vertex.
+def assemble_beltrami(mesh: TriMesh, mu) -> sp.csr_matrix:
+    """Assemble one constraint row per interior vertex from the per-face
+    coefficients `mu` (F, 2), (mu1, mu2) of each face (else
+    ``DimensionMismatch``).
 
     Returns the (num interior) x (num vertices) CSR rows, in
     ``mesh.interior_vertices()`` order; each row sums to zero and touches
-    only the vertex's one-ring.
+    only the vertex's one-ring.  Each face is measured once, and its
+    block's rows of interior corners are scattered as they are.
     """
-    if len(mu) != mesh.num_faces:
-        raise DimensionMismatch("one coefficient pair per face required")
-    v = planar_vertices(mesh)
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (mesh.num_faces, 2):
+        raise DimensionMismatch(
+            f"one coefficient pair per face required: expected mu of shape "
+            f"({mesh.num_faces}, 2), got {mu.shape}"
+        )
+    blocks = face_weights(*planar_faces(mesh), mu)
     interior = mesh.interior_vertices()
     row_of = np.full(mesh.num_vertices, -1)
     row_of[interior] = np.arange(len(interior))
-    # Corner a of face t contributes to the row of its vertex, with the
-    # face's vertices listed from that corner: ids[t, a] is the rotation.
-    ids = mesh.faces[:, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]]  # (F, 3, 3)
-    p = v[ids]
-    w = face_weights(p[..., 0, :], p[..., 1, :], p[..., 2, :], mu.mu1[:, None], mu.mu2[:, None])
-    keep = row_of[ids[..., 0]] >= 0  # row corners that are interior, face order
-    rows = np.repeat(row_of[ids[..., 0]][keep], 3)
-    cols = ids[keep].ravel()
-    vals = w[keep].ravel()
+    corner_rows = row_of[mesh.faces]
+    keep = corner_rows >= 0  # corners that are interior, face order
+    rows = np.repeat(corner_rows[keep], 3)
+    cols = np.broadcast_to(mesh.faces[:, None, :], blocks.shape)[keep].ravel()
+    vals = blocks[keep].ravel()
     return sp.csr_matrix((vals, (rows, cols)), shape=(len(interior), mesh.num_vertices))
 
 
-def solve_beltrami(mesh: TriMesh, mu: BeltramiCoefficient, boundary_values) -> np.ndarray:
-    """Solve for the interior vertex images given boundary values.
+def solve_beltrami(mesh: TriMesh, mu, boundary_values) -> np.ndarray:
+    """Solve for the interior vertex images given the per-face
+    coefficients `mu` (F, 2) and the boundary values.
 
     `boundary_values` is (num boundary, 2), ordered like
     ``mesh.boundary_vertices``.  Returns the full (n, 2) map with the
@@ -215,11 +172,13 @@ def _read_indexed_pairs(path, columns) -> tuple[np.ndarray, np.ndarray]:
     return table["index"], table["pair"]
 
 
-def read_mu_csv(path, num_faces: int) -> BeltramiCoefficient:
-    """Read per-face coefficients from CSV rows 'face,mu1,mu2'.
+def read_mu_csv(path, num_faces: int) -> np.ndarray:
+    """Read per-face coefficients from CSV rows 'face,mu1,mu2', as the
+    (num_faces, 2) array of (mu1, mu2) pairs.
 
     Faces without a row get mu = 0.  A face index out of range or given
-    twice raises ``DimensionMismatch`` naming the face.
+    twice raises ``DimensionMismatch`` naming the face, and a pair
+    :func:`admissible_denominator` refuses its ``DegenerateCoefficient``.
     """
     faces, pairs = _read_indexed_pairs(path, ("face", "mu1", "mu2"))
     out = (faces < 0) | (faces >= num_faces)
@@ -228,11 +187,10 @@ def read_mu_csv(path, num_faces: int) -> BeltramiCoefficient:
     repeated = np.bincount(faces, minlength=num_faces) > 1
     if repeated.any():
         raise DimensionMismatch(f"face {np.argmax(repeated)} has more than one row")
-    mu1 = np.zeros(num_faces)
-    mu2 = np.zeros(num_faces)
-    mu1[faces] = pairs[:, 0]
-    mu2[faces] = pairs[:, 1]
-    return BeltramiCoefficient(mu1, mu2)
+    mu = np.zeros((num_faces, 2))
+    mu[faces] = pairs
+    admissible_denominator(mu[:, 0], mu[:, 1])
+    return mu
 
 
 def read_boundary_csv(path, mesh: TriMesh) -> np.ndarray:

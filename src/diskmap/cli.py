@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .beltrami import planar_vertices, read_boundary_csv, read_mu_csv, solve_beltrami
+from .beltrami import planar_faces, read_boundary_csv, read_mu_csv, solve_beltrami
 from .bounds import build_bound_report, quality_csv, quality_report, scan_degraded_faces
 from .errors import DiskmapError, ParseError
 from .experiments import (
@@ -256,7 +256,7 @@ def cmd_converge(args):
 
 def cmd_beltrami(args):
     mesh = _read(load_mesh, args.mesh)
-    _read(planar_vertices, mesh)
+    _read(planar_faces, mesh)
     mu = _read(read_mu_csv, args.mu, mesh.num_faces)
     boundary = _read(read_boundary_csv, args.boundary, mesh)
     solution = solve_beltrami(mesh, mu, boundary)

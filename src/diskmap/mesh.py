@@ -28,16 +28,44 @@ def signed_double_area(p0, p1, p2):
     return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
 
 
-def check_planar_orientation(vertices, faces):
-    """Raise ``InvalidTopology`` unless the `faces` (F, 3) on the planar
-    `vertices` (N, 2) all have signed areas of one strict sign.  Each face
-    is measured at unit scale, so no determinant under- or overflows."""
+def measure_planar_faces(vertices, faces, check_area=False):
+    """The `faces` (F, 3) on the planar `vertices` (N, 2), measured at unit
+    scale, so no product under- or overflows.
+
+    Returns the edges v_j - v_k, v_k - v_i, v_i - v_j opposite each
+    corner (F, 3, 2), each face's divided exactly by the power of two of
+    their largest coordinate (:func:`_binary_exponent`), and twice the
+    signed area (F,) they span.  With `check_area`, a face below
+    :func:`triangle_metrics`' degeneracy threshold raises its
+    ``DegenerateTriangle`` first.  ``InvalidTopology`` is raised unless
+    all the areas have one strict sign.
+    """
     p = vertices[faces]
-    p = p - p[:, :1]
-    p = np.ldexp(p, -_binary_exponent(p[:, 1], p[:, 2])[:, None, None])
-    det = signed_double_area(p[:, 0], p[:, 1], p[:, 2])
-    if det.size and not ((det > 0).all() or (det < 0).all()):
+    edges = p[:, [1, 2, 0]] - p[:, [2, 0, 1]]
+    e = _binary_exponent(edges[:, 0], edges[:, 1], edges[:, 2])
+    edges = np.ldexp(edges, -e[:, None, None])
+    # e_k x e_i, the same as (v_j - v_i) x (v_k - v_i)
+    double_area = edges[:, 2, 0] * edges[:, 0, 1] - edges[:, 2, 1] * edges[:, 0, 0]
+    if check_area:
+        diameter = np.sqrt(dot(edges, edges).max(axis=-1))
+        _refuse_degenerate(0.5 * np.abs(double_area), diameter, e)
+    if double_area.size and not ((double_area > 0).all() or (double_area < 0).all()):
         raise InvalidTopology("planar faces do not share one orientation sign")
+    return edges, double_area
+
+
+def _refuse_degenerate(area, diameter, e):
+    """Raise ``DegenerateTriangle`` naming the first triangle whose `area`
+    is below ``DEGENERACY_THRESHOLD`` * `diameter`^2, or whose diameter is
+    0, with both given at unit scale: the triangle's own are 2^e times
+    the diameter and 4^e times the area."""
+    bad = (area < DEGENERACY_THRESHOLD * diameter**2) | (diameter == 0.0)
+    if bad.any():
+        where, t = first_offender(bad)
+        e = np.ravel(e)[t]
+        with np.errstate(over="ignore"):
+            area, diameter = np.ldexp(np.ravel(area)[t], 2 * e), np.ldexp(np.ravel(diameter)[t], e)
+        raise DegenerateTriangle(f"{where}area {area:.3e} below threshold for d={diameter:.3e}")
 
 
 def _binary_exponent(*vectors):
@@ -120,7 +148,7 @@ class TriMesh:
         self.faces = f
         self._build_edges()
         if v.shape[1] == 2:
-            check_planar_orientation(v, f)
+            measure_planar_faces(v, f)
 
     def _build_edges(self):
         f = self.faces
@@ -176,7 +204,17 @@ class TriMesh:
         return np.nonzero(mask)[0]
 
     def boundary_loops(self):
-        """Boundary cycles as vertex index lists, following face orientation."""
+        """Boundary cycles as vertex index lists, following face orientation.
+
+        Raises ``InvalidTopology`` naming a pinched vertex: one that
+        starts more than one boundary edge, so that two cycles touch.
+        """
+        starts = np.bincount(self.boundary_halfedges[:, 0], minlength=self.num_vertices)
+        if (starts > 1).any():
+            v = int(np.argmax(starts > 1))
+            raise InvalidTopology(
+                f"boundary vertex {v} is pinched: it starts {starts[v]} boundary edges"
+            )
         remaining = dict(self.boundary_halfedges.tolist())
         loops = []
         while remaining:
@@ -306,15 +344,10 @@ def triangle_metrics(v_i, v_j, v_k) -> TriangleGeom:
     # One corner suffices for the area; the cross norm is shared.
     gram = sq[..., 0] * sq[..., 2] - dots[..., 0] ** 2
     double_area = np.sqrt(np.maximum(gram, 0.0))
-    bad = (0.5 * double_area < DEGENERACY_THRESHOLD * diameter**2) | (diameter == 0.0)
+    _refuse_degenerate(0.5 * double_area, diameter, e)
     with np.errstate(over="ignore"):
         # Back to the triangle's own scale, exactly inside double range.
         area, diameter = np.ldexp(0.5 * double_area, 2 * e), np.ldexp(diameter, e)
-        if bad.any():
-            where, t = first_offender(bad)
-            raise DegenerateTriangle(
-                f"{where}area {area.flat[t]:.3e} below threshold for d={diameter.flat[t]:.3e}"
-            )
         inradius = np.ldexp(double_area / lengths.sum(axis=-1), e)
         lengths = np.ldexp(lengths, e[..., None])
         n = np.cross(d_ij, -d_ki)

@@ -27,7 +27,6 @@ import numpy as np
 import pytest
 
 from diskmap import (
-    BeltramiCoefficient,
     HemisphereSpec,
     MinimizerOptions,
     assemble_beltrami,
@@ -344,7 +343,7 @@ def test_c09_weak_point_source_solve():
 
 def test_c10_beltrami_reduction_and_refinement():
     mesh = planar_disk_mesh(6, 9)
-    rows = assemble_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces))
+    rows = assemble_beltrami(mesh, np.zeros((mesh.num_faces, 2)))
     lap = assemble_laplacian(mesh, rho_mode="unit")
     reference = lap.matrix[mesh.interior_vertices()].toarray()
     assembled = rows.toarray()
@@ -365,7 +364,7 @@ def test_c10_beltrami_reduction_and_refinement():
         )
         g = solve_beltrami(
             fine,
-            BeltramiCoefficient.zero(fine.num_faces),
+            np.zeros((fine.num_faces, 2)),
             exact[fine.boundary_vertices],
         )
         errors.append(np.abs(g - exact).max())

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from diskmap import (
-    BeltramiCoefficient,
     DegenerateCoefficient,
     DegenerateTriangle,
     DimensionMismatch,
@@ -22,6 +21,7 @@ from diskmap import (
 )
 from diskmap import laplacian
 from diskmap.beltrami import read_boundary_csv, read_mu_csv
+from diskmap.mesh import measure_planar_faces
 
 from conftest import WrongFactor, planar_disk_mesh, random_triangle
 
@@ -52,7 +52,7 @@ class TestBeltramiMatrix:
         with pytest.raises(DegenerateCoefficient):
             beltrami_matrix(1.0, 0.0)
         with pytest.raises(DegenerateCoefficient):
-            BeltramiCoefficient(np.array([0.8]), np.array([0.7]))
+            beltrami_matrix(np.array([0.8]), np.array([0.7]))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, value):
@@ -60,9 +60,15 @@ class TestBeltramiMatrix:
         mu1 = np.array([0.1, 0.2, value, value])
         mu2 = np.zeros(4)
         with pytest.raises(DegenerateCoefficient, match="^face 2: "):
-            BeltramiCoefficient(mu1, mu2)
+            beltrami_matrix(mu1, mu2)
         with pytest.raises(DegenerateCoefficient, match="^face 2: "):
             beltrami_matrix(mu2, mu1)
+
+
+def single_face_weights(tri, mu1, mu2):
+    """The 3 x 3 block of the one planar face with corners `tri` (3, 2)."""
+    edges, double_area = measure_planar_faces(tri, np.array([[0, 1, 2]]))
+    return face_weights(edges, double_area, [[mu1, mu2]])[0]
 
 
 class TestFaceWeights:
@@ -72,25 +78,25 @@ class TestFaceWeights:
             tri = random_triangle(rng, 2)
             r = rng.uniform(0, 0.9)
             angle = rng.uniform(0, 2 * math.pi)
-            w = face_weights(*tri, r * math.cos(angle), r * math.sin(angle))
-            assert abs(w.sum()) <= 1e-12 * np.abs(w).max()
+            w = single_face_weights(tri, r * math.cos(angle), r * math.sin(angle))
+            assert np.abs(w.sum(axis=1)).max() <= 1e-12 * np.abs(w).max()
 
     def test_rotation_invariance_at_zero(self):
         rng = np.random.default_rng(3)
         tri = random_triangle(rng, 2)
-        base = face_weights(*tri, 0.0, 0.0)
+        base = single_face_weights(tri, 0.0, 0.0)
         angle = 0.77
         rot = np.array(
             [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
         )
-        rotated = face_weights(*(tri @ rot.T), 0.0, 0.0)
+        rotated = single_face_weights(tri @ rot.T, 0.0, 0.0)
         assert np.allclose(base, rotated, rtol=1e-10, atol=1e-12)
 
     def test_zero_reduction_to_cotangent_rows(self):
         # assembled interior operator at mu = 0 equals the plain
         # cotangent Laplacian rows, entrywise, up to one global sign
         mesh = planar_disk_mesh(6, 9)
-        rows = assemble_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces))
+        rows = assemble_beltrami(mesh, np.zeros((mesh.num_faces, 2)))
         lap = assemble_laplacian(mesh, rho_mode="unit")
         reference = lap.matrix[mesh.interior_vertices()].toarray()
         assembled = rows.toarray()
@@ -112,7 +118,7 @@ class TestAssembly:
         rng = np.random.default_rng(3)
         radius = 0.5 * np.sqrt(rng.random(mesh.num_faces))
         angle = 2.0 * math.pi * rng.random(mesh.num_faces)
-        mu = BeltramiCoefficient(radius * np.cos(angle), radius * np.sin(angle))
+        mu = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
         scaled = TriMesh(np.ldexp(mesh.vertices, exponent), mesh.faces)
         expected = assemble_beltrami(mesh, mu).toarray()
         assert np.array_equal(assemble_beltrami(scaled, mu).toarray(), expected)
@@ -122,7 +128,7 @@ class TestAssembly:
         rng = np.random.default_rng(14)
         radius = 0.6 * rng.random(mesh.num_faces)
         angle = 2 * math.pi * rng.random(mesh.num_faces)
-        mu = BeltramiCoefficient(radius * np.cos(angle), radius * np.sin(angle))
+        mu = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
         row_of = {int(v): r for r, v in enumerate(mesh.interior_vertices())}
         expected = np.zeros((len(row_of), mesh.num_vertices))
         for t, ids in enumerate(mesh.faces):
@@ -130,26 +136,54 @@ class TestAssembly:
                 corners = [ids[a], ids[(a + 1) % 3], ids[(a + 2) % 3]]
                 if int(corners[0]) not in row_of:
                     continue
-                w = face_weights(*mesh.vertices[corners], mu.mu1[t], mu.mu2[t])
-                expected[row_of[int(corners[0])], corners] += w
+                w = single_face_weights(mesh.vertices[corners], *mu[t])
+                expected[row_of[int(corners[0])], corners] += w[0]
         rows = assemble_beltrami(mesh, mu)
         # Entries shared by faces are summed in another order.
         scale = np.abs(expected).max()
         assert np.allclose(rows.toarray(), expected, rtol=0, atol=1e-14 * scale)
+
+    def test_nonzero_mu_rows_equal_the_formula(self):
+        # row a of face t adds e_l . (-J B e_a) / (4 A) to the columns l =
+        # i, j, k, with e the edges opposite the corners and A the signed
+        # area, all at the face's own scale
+        mesh = planar_disk_mesh(6, 9)
+        rng = np.random.default_rng(29)
+        radius = 0.5 * np.sqrt(rng.random(mesh.num_faces))
+        angle = 2.0 * math.pi * rng.random(mesh.num_faces)
+        mu = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+        row_of = {int(v): r for r, v in enumerate(mesh.interior_vertices())}
+        expected = np.zeros((len(row_of), mesh.num_vertices))
+        for t, ids in enumerate(mesh.faces):
+            x = mesh.vertices[ids, :2]
+            e = x[[1, 2, 0]] - x[[2, 0, 1]]
+            u, w = x[1] - x[0], x[2] - x[0]
+            area = 0.5 * (u[0] * w[1] - u[1] * w[0])
+            m1, m2 = mu[t]
+            b = np.array(
+                [[2 * m2, (1 - m1) ** 2 + m2**2], [-((1 + m1) ** 2) - m2**2, -2 * m2]]
+            ) / (1 - m1**2 - m2**2)
+            for a in range(3):
+                if ids[a] in row_of:
+                    hat = -QUARTER_TURN @ b @ e[a]
+                    for l in range(3):
+                        expected[row_of[ids[a]], ids[l]] += e[l] @ hat / (4 * area)
+        rows = assemble_beltrami(mesh, mu).toarray()
+        assert np.abs(rows - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestSolve:
     def test_constant_boundary_gives_constant(self):
         mesh = planar_disk_mesh(6, 9)
         boundary = np.tile([0.7, -0.2], (len(mesh.boundary_vertices), 1))
-        mu = BeltramiCoefficient.zero(mesh.num_faces)
+        mu = np.zeros((mesh.num_faces, 2))
         g = solve_beltrami(mesh, mu, boundary)
         assert np.allclose(g, [0.7, -0.2], atol=1e-10)
 
     def test_identity_boundary_reproduced(self):
         mesh = planar_disk_mesh(6, 9)
         boundary = mesh.vertices[mesh.boundary_vertices][:, :2]
-        mu = BeltramiCoefficient.zero(mesh.num_faces)
+        mu = np.zeros((mesh.num_faces, 2))
         g = solve_beltrami(mesh, mu, boundary)
         assert np.abs(g - mesh.vertices[:, :2]).max() <= 1e-8
 
@@ -166,16 +200,14 @@ class TestSolve:
                     2.0 * mesh.vertices[:, 0] * mesh.vertices[:, 1],
                 ]
             )
-            mu = BeltramiCoefficient.zero(mesh.num_faces)
+            mu = np.zeros((mesh.num_faces, 2))
             g = solve_beltrami(mesh, mu, exact[mesh.boundary_vertices])
             errors.append(np.abs(g - exact).max())
         assert errors[1] <= errors[0] / 2
 
     def test_linearity_in_boundary_data(self):
         mesh = planar_disk_mesh(6, 9)
-        mu = BeltramiCoefficient(
-            np.full(mesh.num_faces, 0.2), np.full(mesh.num_faces, -0.1)
-        )
+        mu = np.column_stack([np.full(mesh.num_faces, 0.2), np.full(mesh.num_faces, -0.1)])
         rng = np.random.default_rng(4)
         nb = len(mesh.boundary_vertices)
         ga, gb = rng.normal(size=(nb, 2)), rng.normal(size=(nb, 2))
@@ -194,12 +226,10 @@ class TestSolve:
                 2.0 * mesh.vertices[:, 0] * mesh.vertices[:, 1],
             ]
         )[mesh.boundary_vertices]
-        base = solve_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces), curved)
+        base = solve_beltrami(mesh, np.zeros((mesh.num_faces, 2)), curved)
         skewed = solve_beltrami(
             mesh,
-            BeltramiCoefficient(
-                np.full(mesh.num_faces, 0.4), np.zeros(mesh.num_faces)
-            ),
+            np.column_stack([np.full(mesh.num_faces, 0.4), np.zeros(mesh.num_faces)]),
             curved,
         )
         assert np.abs(base - skewed).max() > 1e-3
@@ -209,23 +239,21 @@ class TestSolve:
         # every interior row regardless of the constant coefficient
         mesh = planar_disk_mesh(6, 9)
         boundary = mesh.vertices[mesh.boundary_vertices][:, :2]
-        base = solve_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces), boundary)
+        base = solve_beltrami(mesh, np.zeros((mesh.num_faces, 2)), boundary)
         skewed = solve_beltrami(
             mesh,
-            BeltramiCoefficient(
-                np.full(mesh.num_faces, 0.4), np.zeros(mesh.num_faces)
-            ),
+            np.column_stack([np.full(mesh.num_faces, 0.4), np.zeros(mesh.num_faces)]),
             boundary,
         )
         assert np.abs(base - skewed).max() <= 1e-10
 
     def test_shape_validation(self):
         mesh = planar_disk_mesh(6, 9)
-        mu = BeltramiCoefficient.zero(mesh.num_faces)
+        mu = np.zeros((mesh.num_faces, 2))
         with pytest.raises(DimensionMismatch):
             solve_beltrami(mesh, mu, np.zeros((3, 2)))
         with pytest.raises(DimensionMismatch):
-            assemble_beltrami(mesh, BeltramiCoefficient.zero(2))
+            assemble_beltrami(mesh, np.zeros((2, 2)))
 
     def test_singular_interior_block_raises(self, monkeypatch):
         def singular(matrix, **kwargs):
@@ -235,20 +263,20 @@ class TestSolve:
         mesh = planar_disk_mesh(6, 9)
         boundary = mesh.vertices[mesh.boundary_vertices][:, :2]
         with pytest.raises(SingularSystem, match="singular system: Factor is exactly singular"):
-            solve_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces), boundary)
+            solve_beltrami(mesh, np.zeros((mesh.num_faces, 2)), boundary)
 
     def test_wrong_solve_fails_the_residual_check(self, monkeypatch):
         monkeypatch.setattr(laplacian, "factorize", WrongFactor)
         mesh = planar_disk_mesh(6, 9)
         boundary = mesh.vertices[mesh.boundary_vertices][:, :2]
         with pytest.raises(SolverFailure, match="relative residual .* exceeds 1e-10"):
-            solve_beltrami(mesh, BeltramiCoefficient.zero(mesh.num_faces), boundary)
+            solve_beltrami(mesh, np.zeros((mesh.num_faces, 2)), boundary)
 
     def test_nonplanar_mesh_rejected(self):
         verts = [[0, 0, 0], [1, 0, 0.2], [0, 1, 0], [1, 1, 0.3]]
         mesh = TriMesh(verts, [[0, 1, 2], [1, 3, 2]])
         with pytest.raises(DimensionMismatch):
-            assemble_beltrami(mesh, BeltramiCoefficient.zero(2))
+            assemble_beltrami(mesh, np.zeros((2, 2)))
 
     @staticmethod
     def _lifted_disk(height, scale):
@@ -265,13 +293,13 @@ class TestSolve:
         # below 1e-12, which says nothing about planarity
         lifted, _ = self._lifted_disk(0.3, 1e-13)
         with pytest.raises(DimensionMismatch, match="needs a planar mesh"):
-            assemble_beltrami(lifted, BeltramiCoefficient.zero(lifted.num_faces))
+            assemble_beltrami(lifted, np.zeros((lifted.num_faces, 2)))
 
     def test_large_planar_mesh_accepted(self):
         # planar to 1e-16 of the radius; at scale 1e5 some |z| exceed 1e-12
         lifted, flat = self._lifted_disk(1e-16, 1e5)
         assert np.abs(lifted.vertices[:, 2]).max() > 1e-12
-        mu = BeltramiCoefficient.zero(lifted.num_faces)
+        mu = np.zeros((lifted.num_faces, 2))
         got, expected = assemble_beltrami(lifted, mu), assemble_beltrami(flat, mu)
         assert np.array_equal(got.toarray(), expected.toarray())
 
@@ -284,13 +312,18 @@ class TestSolve:
             TriMesh(square, fan)
         flat = TriMesh(np.column_stack([square, np.zeros(5)]), fan)
         with pytest.raises(InvalidTopology, match="orientation sign"):
-            assemble_beltrami(flat, BeltramiCoefficient.zero(4))
+            assemble_beltrami(flat, np.zeros((4, 2)))
 
 @pytest.mark.parametrize(
     "case, error, message",
     [
         ("mu_shapes", DimensionMismatch, "mu1 and mu2 must have matching shapes"),
-        ("zero_area_face", DegenerateTriangle, "face 1: degenerate planar face"),
+        pytest.param(
+            "zero_area_face",
+            DegenerateTriangle,
+            r"face 1: area 0\.000e\+00 below threshold for d=2\.828e\+00",
+            id="zero_area_face-DegenerateTriangle-face 1: degenerate planar face",
+        ),
     ],
 )
 def test_malformed_input_refused(case, error, message):
@@ -298,9 +331,13 @@ def test_malformed_input_refused(case, error, message):
     v_i, v_j, v_k = np.array(
         [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [2.0, 2.0]]]
     )
+    faces = [[0, 2, 4], [1, 3, 5]]  # the stacked corners as rows of one vertex array, at z = 0
     calls = {
-        "mu_shapes": lambda: BeltramiCoefficient(np.zeros(3), np.zeros(4)),
-        "zero_area_face": lambda: face_weights(v_i, v_j, v_k, np.zeros(2), np.zeros(2)),
+        "mu_shapes": lambda: beltrami_matrix(np.zeros(3), np.zeros(4)),
+        "zero_area_face": lambda: assemble_beltrami(
+            TriMesh(np.pad(np.concatenate([v_i, v_j, v_k]), ((0, 0), (0, 1))), faces),
+            np.zeros((2, 2)),
+        ),
     }
     with pytest.raises(error, match=f"^{message}$"):
         calls[case]()
@@ -312,9 +349,9 @@ class TestCsvIngestion:
         path = tmp_path / "mu.csv"
         path.write_text("face,mu1,mu2\n0,0.25,-0.1\n3,0.0,0.5\n")
         mu = read_mu_csv(path, mesh.num_faces)
-        assert mu.mu1[0] == 0.25
-        assert mu.mu2[3] == 0.5
-        assert mu.mu1[1] == 0.0
+        assert mu[0, 0] == 0.25
+        assert mu[3, 1] == 0.5
+        assert mu[1, 0] == 0.0
 
     def test_boundary_round_trip(self, tmp_path):
         mesh = planar_disk_mesh(6, 9)

@@ -238,6 +238,18 @@ class TestSolve:
         assert "2 boundary loops" in err
         assert not (tmp_path / "map.csv").exists()
 
+    def test_pinched_boundary_vertex_exit_1(self, tmp_path, capsys):
+        # a bowtie: two triangles that share only vertex 0
+        path = tmp_path / "bowtie.off"
+        path.write_text("OFF\n5 2 0\n0 0 0\n1 0 0\n0 1 0\n-1 0 0\n0 -1 0\n3 0 1 2\n3 0 3 4\n")
+        assert run(["--out-dir", str(tmp_path), "solve", "--mesh", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "input error: boundary vertex 0 is pinched: it starts 2 boundary edges\n"
+        )
+        assert not (tmp_path / "map.csv").exists()
+        # quality needs no disk
+        assert run(["--out-dir", str(tmp_path), "quality", "--mesh", str(path)]) == 0
+
     def test_non_finite_vertex_exit_1(self, tmp_path, capsys):
         path = tmp_path / "disk.off"
         save_mesh(planar_disk_mesh(4, 6), path)
@@ -574,6 +586,35 @@ class TestBeltramiCommand:
         args += ["--boundary", str(tmp_path / "bnd.csv")]
         assert run(["--out-dir", str(tmp_path), "beltrami", *args]) == 1
         assert capsys.readouterr().err == error
+        assert not (tmp_path / "beltrami.csv").exists()
+
+    @pytest.mark.parametrize(
+        "second, error",
+        [
+            ((1.0, 1e-17), "face 0: area 5.000e-18 below threshold for d=1.000e+00"),
+            ((2.0, 0.0), "face 0: area 0.000e+00 below threshold for d=2.000e+00"),
+        ],
+        ids=["sliver", "zero_area"],
+    )
+    def test_degenerate_face_is_an_input_error(self, tmp_path, capsys, second, error):
+        # seven triangles fanned around the origin; their boundary runs
+        # through (1, 0), `second` and the unit circle at 60, ..., 300
+        # degrees, so face 0 is a sliver of diameter 1 or has three
+        # collinear corners
+        ring = [(1.0, 0.0), second]
+        ring += [(math.cos(a), math.sin(a)) for a in np.radians(np.arange(60, 360, 60))]
+        lines = ["OFF", f"{len(ring) + 1} {len(ring)} 0", "0 0 0"]
+        lines += [f"{x!r} {y!r} 0" for x, y in ring]
+        lines += [f"3 0 {k + 1} {(k + 1) % len(ring) + 1}" for k in range(len(ring))]
+        (tmp_path / "fan.off").write_text("\n".join(lines) + "\n")
+        (tmp_path / "mu.csv").write_text("face,mu1,mu2\n")
+        (tmp_path / "bnd.csv").write_text(
+            "vertex,x,y\n" + "".join(f"{v + 1},{x!r},{y!r}\n" for v, (x, y) in enumerate(ring))
+        )
+        args = ["--mesh", str(tmp_path / "fan.off"), "--mu", str(tmp_path / "mu.csv")]
+        args += ["--boundary", str(tmp_path / "bnd.csv")]
+        assert run(["--out-dir", str(tmp_path), "beltrami", *args]) == 1
+        assert capsys.readouterr().err == f"input error: {error}\n"
         assert not (tmp_path / "beltrami.csv").exists()
 
     def test_vertex_in_no_face_is_an_input_error(self, tmp_path, capsys):

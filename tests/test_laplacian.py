@@ -6,7 +6,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from diskmap import (
-    BeltramiCoefficient,
     ConformalEnergy,
     DegenerateTriangle,
     DimensionMismatch,
@@ -591,6 +590,6 @@ def test_mesh_factorizations_share_one_ordering(monkeypatch):
     minimize(hemi.mesh, lap, disk_initial_guess(hemi.mesh, lap, source))
     disk = planar_disk_mesh(6, 9)
     boundary = disk.vertices[disk.boundary_vertices, :2]
-    solve_beltrami(disk, BeltramiCoefficient.zero(disk.num_faces), boundary)
+    solve_beltrami(disk, np.zeros((disk.num_faces, 2)), boundary)
     assert FACTOR_ORDERING == "MMD_AT_PLUS_A"
     assert orderings == [FACTOR_ORDERING] * 3

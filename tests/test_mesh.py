@@ -250,6 +250,13 @@ class TestTriMesh:
             assert [succ[v] for v in loop] == loop[1:] + loop[:1]
         assert len(loops) == (1 if name == "hemisphere" else 2)
 
+    def test_pinched_boundary_vertex_rejected(self):
+        # two triangles that share only vertex 0, which starts two boundary
+        # edges; V - E + F = 1 all the same
+        bowtie = TriMesh([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1, 2], [0, 3, 4]])
+        with pytest.raises(InvalidTopology, match="^boundary vertex 0 is pinched: it starts 2 "):
+            bowtie.boundary_loops()
+
     def test_bad_index_rejected(self):
         with pytest.raises(InvalidTopology):
             TriMesh([[0, 0], [1, 0], [0, 1]], [[0, 1, 5]])

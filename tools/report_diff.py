@@ -14,13 +14,17 @@ directory as ``{out}`` (``gen --out {out}/hemisphere.off``).  For each
 command it compares the exit codes, stdout and stderr (with the output
 directory replaced by ``<out>``) and every output file but
 ``timing.log``.  It prints each difference and exits 1 if there is any,
-else 0.  The temporary files are removed on exit.
+else 0.  An output file that differs but has the same lines and the same
+non-numeric fields on both sides is also given its largest relative
+difference, max|new - old| / max|old| over the numbers of one column.
+The temporary files are removed on exit.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -124,6 +128,40 @@ def run(src, argv, out_dir):
     return done.returncode, normalize(done.stdout), normalize(done.stderr), files
 
 
+def relative_difference(old, new):
+    """The largest relative difference between the numbers of two files'
+    bytes, or None unless they have the same lines and, field by field
+    (split at commas and whitespace), the same non-numeric fields.
+
+    Each column, the fields at one position of their lines, is measured
+    on its own, max|new - old| / max|old|, so an index column does not
+    set the scale of a coordinate column.
+    """
+    rows = [
+        [re.split(r"[,\s]+", line.strip()) for line in data.decode(errors="replace").splitlines()]
+        for data in (old, new)
+    ]
+    if [len(r) for r in rows[0]] != [len(r) for r in rows[1]]:
+        return None
+    numbers = []
+    for fields_a, fields_b in zip(*rows):
+        for column, (a, b) in enumerate(zip(fields_a, fields_b)):
+            try:
+                numbers.append((column, float(a), float(b)))
+            except ValueError:
+                if a != b:
+                    return None
+    if not numbers:
+        return None
+    column, a, b = np.array(numbers).T
+    column = column.astype(int)
+    gap, scale = np.zeros(column.max() + 1), np.zeros(column.max() + 1)
+    np.maximum.at(gap, column, np.abs(b - a))
+    np.maximum.at(scale, column, np.abs(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(gap == 0, 0.0, gap / scale).max())
+
+
 def differences(old, new):
     """Lines naming what differs between two results of `run`."""
     (old_code, old_out, old_err, old_files), (new_code, new_out, new_err, new_files) = old, new
@@ -137,7 +175,9 @@ def differences(old, new):
         if name not in new_files or name not in old_files:
             found.append(f"{name} written only by {'old' if name in old_files else 'new'}")
         elif old_files[name] != new_files[name]:
-            found.append(f"{name} differs")
+            relative = relative_difference(old_files[name], new_files[name])
+            moved = "" if relative is None else f" (largest relative difference {relative:.2g})"
+            found.append(f"{name} differs{moved}")
     return found
 
 
